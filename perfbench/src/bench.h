@@ -103,29 +103,30 @@ struct replay_counts {
   std::atomic<std::size_t> hits{0};
   std::atomic<std::size_t> chunks{0};
   std::atomic<std::size_t> merge_conflicts{0};
+  /// Worker threads of the pool the last replayed sweep ran on.
+  std::atomic<std::size_t> pool_workers{0};
 };
 
 /// One workload.  setup() builds the seeded inputs and the correctness
-/// references; measure() runs the untraced loop; run_op() runs one
-/// operation, traced (the benchmark's own layer-by-layer replay) or not
-/// (the library path measure() times).
+/// references; measure() runs the untraced loop on the library path;
+/// replay_op() runs one operation as the benchmark's own layer-by-layer
+/// replay, which records spans when tracing is on.
 class workload {
  public:
   virtual ~workload() = default;
   virtual void setup() = 0;
   [[nodiscard]] virtual measurement measure(double seconds) = 0;
-  /// Returns false when the operation's output failed its check.
-  virtual bool run_op(bool traced, std::uint64_t op) = 0;
+  /// Adds the work the replay saw to `counts`; returns false when the
+  /// operation's output failed its check.
+  virtual bool replay_op(std::uint64_t op, replay_counts& counts) = 0;
   /// Stops spawned processes; returns how many were left behind.
   virtual std::size_t shutdown() { return 0; }
   /// A running dl_serve the ledger probe may use, or empty.
   [[nodiscard]] virtual std::string probe_socket() const { return {}; }
   [[nodiscard]] const digest& inputs() const { return inputs_; }
-  [[nodiscard]] replay_counts& counts() { return counts_; }
 
  protected:
   digest inputs_;
-  replay_counts counts_;
 };
 
 [[nodiscard]] std::unique_ptr<workload> make_sweep_solve(const run_config& cfg);
@@ -138,6 +139,11 @@ class workload {
 /// initial profile, so calibration has a well-posed target.
 [[nodiscard]] dlm::engine::scenario_context make_context(std::uint64_t seed,
                                                          digest& inputs);
+
+/// The single slice "bench" (friendship hops, 6 distances × hours 1–6):
+/// the DL model's own surface for (d, K) and the initial profile.
+[[nodiscard]] dlm::engine::scenario_context surface_context(
+    double d, double k, const std::vector<double>& initial);
 
 /// One run_sweep pass replayed from the layers' public functions with a
 /// span around each call (see sweeps.cpp); returns the pass's CSV.

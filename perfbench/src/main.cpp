@@ -6,11 +6,12 @@
 //                 [--source-digest HEX] [--corrupt-reference]
 //
 // --trace 0 measures the end-to-end metrics on the library path with
-// tracing off.  --trace 1 alternates untraced and traced operations (the
-// benchmark's layer-by-layer replay), writes the spans as a Chrome trace,
-// and reports the per-layer metrics plus the ledger probe.  Either way the
-// outputs are checked; the last stdout line is one JSON object with
-// "correct", "attempted", "failed" and "metrics".  See perfbench/README.md.
+// tracing off.  --trace 1 runs the benchmark's layer-by-layer replay of
+// each operation, alternately with tracing off and on, writes the spans as
+// a Chrome trace, and reports the per-layer metrics plus the ledger probe.
+// Either way the outputs are checked; the last stdout line is one JSON
+// object with "correct", "attempted", "failed" and "metrics".  See
+// perfbench/README.md.
 
 #include <signal.h>
 #include <sys/resource.h>
@@ -45,8 +46,9 @@ using namespace perfbench;
 
 /// setup_s is the median of this many complete set-ups.
 constexpr int kSetupRepeats = 3;
-/// Traced runs alternate at most this many untraced/traced pairs: the
-/// calibrate replays record ~25k spans per operation.
+/// Traced runs make at most this many pairs of replays, one with tracing
+/// off and one with it on: the calibrate replays record ~25k spans per
+/// operation.
 constexpr std::size_t kMaxTracedPairs = 5;
 /// A p99 is reported only with at least ten samples beyond it.
 constexpr std::size_t kP99Samples = 1000;
@@ -207,21 +209,27 @@ run_result run_traced(const run_config& cfg, const std::string& host) {
   w->setup();
   result.inputs_digest = w->inputs().hex();
 
+  // The same replay with tracing off and on: their time ratio is the cost
+  // of the spans.  Only the traced half's work is counted.  One untimed
+  // replay first, so neither half pays for first-touch warm-up.
   std::vector<double> plain_ms, traced_ms;
+  replay_counts c, untraced_counts;
   clear_spans();
+  result.attempted += 1;
+  result.failed += w->replay_op(0, untraced_counts) ? 0 : 1;
   const std::int64_t start = now_ns();
   for (std::uint64_t pair = 0;
        pair < kMaxTracedPairs && (pair == 0 || seconds_since(start) < cfg.seconds);
        ++pair) {
     std::int64_t t0 = now_ns();
-    bool ok = w->run_op(false, 2 * pair);
+    bool ok = w->replay_op(2 * pair + 1, untraced_counts);
     plain_ms.push_back(seconds_since(t0) * 1e3);
     result.attempted += 1;
     result.failed += ok ? 0 : 1;
 
     set_tracing(true);
     t0 = now_ns();
-    ok = w->run_op(true, 2 * pair + 1);
+    ok = w->replay_op(2 * pair + 2, c);
     traced_ms.push_back(seconds_since(t0) * 1e3);
     set_tracing(false);
     result.attempted += 1;
@@ -239,7 +247,6 @@ run_result run_traced(const run_config& cfg, const std::string& host) {
                          ", \"host\": " + host + '}');
   std::printf("trace_file %s (%zu spans)\n", trace_path.c_str(), spans.size());
 
-  const replay_counts& c = w->counts();
   const auto share = [&](const char* layer) {
     const auto it = times.self_ns.find(layer);
     return it == times.self_ns.end() ? 0.0 : ratio(it->second, times.busy_ns);
@@ -284,7 +291,7 @@ run_result run_traced(const run_config& cfg, const std::string& host) {
       {"runner.busy_share", share("runner"), "ratio"},
       {"runner.slowest_chunk_share", median(slowest_chunk_share), "ratio"},
       {"pool.busy_ratio",
-       ratio(total("runner.chunk"), op_ns * static_cast<double>(cfg.threads)), "ratio"},
+       ratio(total("runner.chunk"), op_ns * count(c.pool_workers)), "ratio"},
       {"cache_io.busy_share", share("cache_io"), "ratio"},
       {"shard.busy_share", share("shard"), "ratio"},
       {"shard.merge_conflicts", count(c.merge_conflicts), "count"},

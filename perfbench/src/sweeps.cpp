@@ -361,6 +361,7 @@ std::string traced_sweep(const engine::scenario_context& ctx,
     chunks = engine::batch_sweep(scenarios);
   }
   counts.chunks.fetch_add(chunks.size(), std::memory_order_relaxed);
+  counts.pool_workers.store(threads, std::memory_order_relaxed);
   std::vector<engine::result_row> rows(scenarios.size());
   std::atomic<bool> failed{false};
   {
@@ -411,7 +412,11 @@ class sweep_workload : public workload {
     const std::int64_t start = now_ns();
     while (seconds_since(start) < seconds) {
       const std::int64_t op_start = now_ns();
-      const bool ok = run_op(false, 0);
+      // A cold pass: a fresh cache, so every scenario solves.
+      engine::solve_cache cache;
+      const bool ok =
+          engine::run_sweep(context_, scenarios_, runner(cache)).table.to_csv() ==
+          reference_;
       const double op_s = seconds_since(op_start);
       m.op_ms.push_back(op_s * 1e3);
       m.work_s += op_s;
@@ -422,15 +427,11 @@ class sweep_workload : public workload {
     return m;
   }
 
-  bool run_op(bool traced, std::uint64_t op) override {
-    // A cold pass: a fresh cache, so every scenario solves.
+  bool replay_op(std::uint64_t op, replay_counts& counts) override {
     engine::solve_cache cache;
-    if (!traced)
-      return engine::run_sweep(context_, scenarios_, runner(cache)).table.to_csv() ==
-             reference_;
     const op_span root(calibrate_ ? "sweep_calibrate.op" : "sweep_solve.op", op);
     return traced_sweep(context_, scenarios_, cache, calibration_options(),
-                        cfg_.threads, counts_) == reference_;
+                        cfg_.threads, counts) == reference_;
   }
 
  private:
@@ -482,7 +483,7 @@ class resume_workload : public workload {
     const std::int64_t start = now_ns();
     while (seconds_since(start) < seconds) {
       const std::int64_t op_start = now_ns();
-      const outcome out = resume(false);
+      const outcome out = resume(nullptr);
       const double op_s = seconds_since(op_start);
       m.op_ms.push_back(op_s * 1e3);
       m.work_s += op_s;
@@ -493,10 +494,9 @@ class resume_workload : public workload {
     return m;
   }
 
-  bool run_op(bool traced, std::uint64_t op) override {
-    if (!traced) return check(resume(false), false);
+  bool replay_op(std::uint64_t op, replay_counts& counts) override {
     const op_span root("resume_warm.op", op);
-    return check(resume(true), true);
+    return check(resume(&counts), true);
   }
 
  private:
@@ -508,8 +508,9 @@ class resume_workload : public workload {
   };
 
   /// merge_cache_files → merge_tables → warm replay → save_cache, from
-  /// the same bytes on disk every time.
-  outcome resume(bool traced) {
+  /// the same bytes on disk every time.  The warm replay is the library's
+  /// run_sweep, or with `counts` the benchmark's layer-by-layer replay.
+  outcome resume(replay_counts* counts) {
     outcome out;
     engine::solve_cache cache;
     {
@@ -526,10 +527,10 @@ class resume_workload : public workload {
     // One worker: the replay is pure lookups, and a pool would mostly
     // time its own start-up and wake-ups.
     const std::size_t misses_before = cache.stats().misses;
-    if (traced) {
+    if (counts != nullptr) {
       out.warm_csv =
-          traced_sweep(context_, scenarios_, cache, calibration_options(), 1, counts_);
-      counts_.merge_conflicts.fetch_add(out.conflicts, std::memory_order_relaxed);
+          traced_sweep(context_, scenarios_, cache, calibration_options(), 1, *counts);
+      counts->merge_conflicts.fetch_add(out.conflicts, std::memory_order_relaxed);
     } else {
       engine::runner_options options = runner(cache);
       options.threads = 1;
@@ -548,9 +549,9 @@ class resume_workload : public workload {
   /// unsharded run's cache byte for byte.  (The traced replay's solve
   /// count is reported as core.solve_calls instead of gated: it rests on
   /// the mirrored probe-key layout, not on the library.)
-  bool check(const outcome& out, bool traced) const {
+  bool check(const outcome& out, bool replayed) const {
     return out.conflicts == 0 && out.merged_csv == reference_csv_ &&
-           out.warm_csv == reference_csv_ && (traced || out.warm_misses == 0) &&
+           out.warm_csv == reference_csv_ && (replayed || out.warm_misses == 0) &&
            read_file(out_path_) == reference_cache_;
   }
 

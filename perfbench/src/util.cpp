@@ -78,21 +78,27 @@ double seconds_since(std::int64_t start_ns) {
 }
 
 dlm::engine::scenario_context make_context(std::uint64_t seed, digest& inputs) {
-  using namespace dlm;
   rng r(seed ^ 0x5DEECE66Dull);
-  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
-  truth.d = r.uniform(0.03, 0.09);
-  truth.k = r.uniform(18.0, 28.0);
+  const double d = r.uniform(0.03, 0.09);
+  const double k = r.uniform(18.0, 28.0);
   std::vector<double> initial(6);
   double level = r.uniform(1.6, 2.4);
   for (double& v : initial) {
     v = level;
     level *= r.uniform(0.45, 0.9);
   }
-  std::string text = "surface d=" + fmt(truth.d) + " k=" + fmt(truth.k) + " phi=";
+  std::string text = "surface d=" + fmt(d) + " k=" + fmt(k) + " phi=";
   for (const double v : initial) text += fmt(v) + ',';
   inputs.add(text);
+  return surface_context(d, k, initial);
+}
 
+dlm::engine::scenario_context surface_context(double d, double k,
+                                              const std::vector<double>& initial) {
+  using namespace dlm;
+  core::dl_parameters truth = core::dl_parameters::paper_hops(6.0);
+  truth.d = d;
+  truth.k = k;
   const core::dl_model model(truth, initial, 1.0, 6.0);
   std::vector<std::vector<double>> surface(initial.size());
   for (std::size_t i = 0; i < initial.size(); ++i) {
