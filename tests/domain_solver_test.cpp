@@ -152,6 +152,56 @@ TEST(DomainGrid2d, YUniformSheetMatchesTheLineToTolerance) {
           << "x=" << x << " t=" << t;
 }
 
+/// A strang-cn solve on a non-line domain with an explicit rate field and
+/// window end; otherwise the reference setup above.
+core::dl_solution solve_domain(const std::string& dom,
+                               const core::rate_field& rate, double t_end) {
+  core::dl_parameters p = core::dl_parameters::paper_hops(6.0);
+  p.dom = make_domain(dom);
+  p.r = rate;
+  const core::initial_condition phi =
+      core::dl_model::build_initial(p, observed());
+  return core::solve_dl({.params = &p,
+                         .phi = &phi,
+                         .t0 = 1.0,
+                         .t_end = t_end,
+                         .options = {.scheme = core::dl_scheme::strang_cn,
+                                     .points_per_unit = 20,
+                                     .dt = 0.02,
+                                     .record_dt = 1.0}});
+}
+
+/// r(x, t) = m(x)·decay(t): separable but not uniform in x, so every node
+/// takes its own exact-logistic substep.
+core::rate_field spatial_decay() {
+  return core::rate_field::separable(
+      core::growth_rate::exponential_decay(1.0, 1.2, 0.2),
+      {1.0, 0.8, 0.6, 0.5, 0.4, 0.3});
+}
+
+TEST(DomainGoldens, SheetAndCommunityTracesKeepTheirBits) {
+  // Captured before the domains moved onto the interleaved lane kernel.
+  // Cached non-line traces are keyed by scenario, not by solver version,
+  // so a changed hash here would silently serve stale bits under
+  // unchanged keys.  t_end = 5.99 ends on a half-length step, which
+  // rebuilds both ADI operators (or the community operator) once.
+  const core::rate_field temporal = core::growth_rate::paper_hops();
+  EXPECT_EQ(hash_solution(solve_domain("grid2d:1,4", temporal, 6.0)),
+            3561451151667852827ULL);
+  EXPECT_EQ(hash_solution(solve_domain("grid2d:1,4", spatial_decay(), 6.0)),
+            14618484540067940719ULL);
+  EXPECT_EQ(hash_solution(solve_domain("grid2d:1,4", temporal, 5.99)),
+            14911645859704734693ULL);
+  EXPECT_EQ(hash_solution(solve_domain("comm:3|mix=0.05|scale=1,0.6,0.3",
+                                       temporal, 6.0)),
+            11906001513853064367ULL);
+  EXPECT_EQ(hash_solution(solve_domain("comm:3|mix=0.05|scale=1,0.6,0.3",
+                                       spatial_decay(), 5.99)),
+            5803543278961874165ULL);
+  EXPECT_EQ(hash_solution(solve_domain("comm:8|mix=0.02", temporal, 6.0)),
+            18257350120313923180ULL);
+}
+
 TEST(DomainCommunities, MixingConservesBoundedMassAndCouples) {
   // Three communities, asymmetric initial mass: without mixing they
   // evolve independently; with mixing the scaled-down communities must
