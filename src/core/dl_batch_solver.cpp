@@ -265,66 +265,15 @@ void solve_group(std::span<const solve_request> requests,
     // trailing step (the scalar path does the same).
     if (h != key.dt) build_cn(h);
 
-    double* __restrict u = bws.u.data();
-    double* __restrict rhs = bws.rhs.data();
-    double* __restrict w = bws.w.data();
-    double* __restrict vp = bws.v_prev.data();
-    double* __restrict vc = bws.v_cur.data();
-    double* __restrict vn = bws.v_next.data();
-    const double* __restrict dm = bws.cn_dm.data();
-    const double* __restrict lm = bws.cn_lm.data();
-    const double* __restrict um = bws.cn_um.data();
-    const double* __restrict fl = bws.cn_fl.data();
-    const double* __restrict fp = bws.cn_fp.data();
-    const double* __restrict fc = bws.cn_fc.data();
-
-    // The scalar fused Strang step with every register widened to a
-    // W-lane row: reaction values roll through three rows (pointer
-    // rotation), the elimination carry is a row, and each lane's
-    // accumulation order — dm·v_cur, += lm·v_prev, += um·v_next, the
-    // divide, the back substitution — is the scalar sequence verbatim.
+    // The scalar fused Strang step on W lanes, each lane reading its own
+    // scattered Crank–Nicolson coefficients.
+    const detail::lane_matrix<detail::lane_rows> m{
+        {bws.cn_lm.data(), W}, {bws.cn_dm.data(), W}, {bws.cn_um.data(), W}};
+    const detail::lane_factor<detail::lane_rows> f{
+        {bws.cn_fl.data(), W}, {bws.cn_fp.data(), W}, {bws.cn_fc.data(), W}};
     const auto fused = [&](auto&& react1, auto&& react2) {
-      for (std::size_t l = 0; l < W; ++l)
-        vc[l] = react1(u[l], std::size_t{0}, l);
-      for (std::size_t l = 0; l < W; ++l)
-        vn[l] = react1(u[W + l], std::size_t{1}, l);
-      for (std::size_t l = 0; l < W; ++l) {
-        double acc = dm[l] * vc[l];
-        acc += um[l] * vn[l];
-        w[l] = acc / fp[l];
-        rhs[l] = w[l];
-      }
-      for (std::size_t i = 1; i + 1 < n; ++i) {
-        std::swap(vp, vc);
-        std::swap(vc, vn);
-        for (std::size_t l = 0; l < W; ++l)
-          vn[l] = react1(u[(i + 1) * W + l], i + 1, l);
-        for (std::size_t l = 0; l < W; ++l) {
-          double acc = dm[i * W + l] * vc[l];
-          acc += lm[(i - 1) * W + l] * vp[l];
-          acc += um[i * W + l] * vn[l];
-          w[l] = (acc - fl[(i - 1) * W + l] * w[l]) / fp[i * W + l];
-          rhs[i * W + l] = w[l];
-        }
-      }
-      {
-        std::swap(vp, vc);
-        std::swap(vc, vn);
-        for (std::size_t l = 0; l < W; ++l) {
-          double acc = dm[(n - 1) * W + l] * vc[l];
-          acc += lm[(n - 2) * W + l] * vp[l];
-          w[l] = (acc - fl[(n - 2) * W + l] * w[l]) / fp[(n - 1) * W + l];
-        }
-      }
-      // Backward pass: back substitution + second reaction half-step.
-      for (std::size_t l = 0; l < W; ++l)
-        u[(n - 1) * W + l] = react2(w[l], n - 1, l);
-      for (std::size_t i = n - 1; i-- > 0;) {
-        for (std::size_t l = 0; l < W; ++l) {
-          w[l] = rhs[i * W + l] - fc[i * W + l] * w[l];
-          u[i * W + l] = react2(w[l], i, l);
-        }
-      }
+      detail::lane_strang_cn<WC>(n, W, bws.u.data(), bws.rhs.data(),
+                                 bws.lane_scratch.data(), m, f, react1, react2);
     };
 
     bool all_uniform = true;

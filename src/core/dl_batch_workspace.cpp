@@ -11,10 +11,7 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
 
   lane_d.resize(width);
   lane_k.resize(width);
-  v_prev.resize(width);
-  v_cur.resize(width);
-  v_next.resize(width);
-  w.resize(width);
+  lane_scratch.resize(4 * width);
   lane_factored.resize(width);
   lane_uniform.resize(width);
 

@@ -17,8 +17,8 @@
 //    writes one contiguous per-lane span, so rates are evaluated
 //    lane-major and read strided (or hoisted to one growth per lane for
 //    x-uniform fields, the common calibration case);
-//  * per-lane scalars (d, K, growth factors, rolling reaction registers,
-//    Thomas carry): W.
+//  * per-lane scalars (d, K, growth factors): W; the lane kernel's carry
+//    and rolling reaction rows: 4·W.
 //
 // The Crank–Nicolson cache holds one rhs-matrix + Thomas factorization
 // per *distinct* λ = d·dt/dx² in the group, so lanes probing the same
@@ -63,10 +63,9 @@ struct dl_batch_workspace {
   std::vector<double> lane_k;   ///< carrying capacity K
   std::vector<double> growth1;  ///< e^∫r, first logistic half-step
   std::vector<double> growth2;  ///< e^∫r, second logistic half-step
-  std::vector<double> v_prev, v_cur, v_next;  ///< rolling reaction rows
-  std::vector<double> w;                      ///< Thomas recurrence carry
-  std::vector<std::uint8_t> lane_factored;    ///< separable-form rate?
-  std::vector<std::uint8_t> lane_uniform;     ///< x-constant rate?
+  std::vector<double> lane_scratch;         ///< lane kernel scratch, 4·W
+  std::vector<std::uint8_t> lane_factored;  ///< separable-form rate?
+  std::vector<std::uint8_t> lane_uniform;   ///< x-constant rate?
 
   // Lane-major rate rows, size W·n (row l is lane l's contiguous span).
   std::vector<double> mod_rows;   ///< separable spatial profile m(x_i)

@@ -12,16 +12,17 @@
 //        (I − (λy/2)Ay) u^{n+1} = (I + (λx/2)Ax) u*    — tridiagonal in y
 //        reaction half-step
 //    Both one-axis operators reuse detail::build_cn_matrices and a cached
-//    num::tridiagonal_factorization per axis, so each step is two sets of
-//    Thomas sweeps — no 2-D solve anywhere.
+//    num::tridiagonal_factorization per axis, so each step is two calls
+//    of the lane kernel (detail::lane_thomas): ny row lanes for the x
+//    solve, nx column lanes for the y solve — no 2-D solve anywhere.
 //
-//  * communities — K coupled copies of the 1-D line, each advanced by the
-//    same fused Strang–CN step as the scalar solver
-//    (detail::strang_cn_step, shared inline so a K = 1 run is *bitwise
-//    identical* to the plain line), followed by an explicit-Euler
-//    cross-community mixing substep that is skipped entirely when K = 1
-//    or the mixing matrix is zero — which is what makes the K = 1
-//    identity exact rather than approximate.
+//  * communities — K coupled copies of the 1-D line, advanced together as
+//    the K lanes of the fused Strang–CN lane kernel
+//    (detail::lane_strang_cn: per lane the scalar solver's operation
+//    sequence, so a K = 1 run is *bitwise identical* to the plain line),
+//    followed by an explicit-Euler cross-community mixing substep that is
+//    skipped entirely when K = 1 or the mixing matrix is zero — which is
+//    what makes the K = 1 identity exact rather than approximate.
 //
 // Only dl_scheme::strang_cn is supported on non-line domains; other
 // schemes are rejected with the domain's label in the message.
@@ -69,15 +70,48 @@ struct recorder {
     trace.reserve(max_records + 2);
   }
 
-  void record_if_due(double t_new, bool last_step,
-                     const std::vector<double>& u) {
-    if (t_new + 1e-12 >= next_record || last_step) {
-      times.push_back(t_new);
-      trace.append_row(u);
-      while (next_record <= t_new + 1e-12) next_record += record_dt;
-    }
+  /// True when the step ending at t_new must be recorded.
+  [[nodiscard]] bool due(double t_new, bool last_step) const {
+    return t_new + 1e-12 >= next_record || last_step;
+  }
+  void append(double t_new, std::span<const double> state) {
+    times.push_back(t_new);
+    trace.append_row(state);
+    while (next_record <= t_new + 1e-12) next_record += record_dt;
   }
 };
+
+/// One fused Strang–CN step of every community: strang_cn_step on the K
+/// lanes of the node-major state in ws.u, all sharing ws's operator and
+/// integrated rates.
+template <std::size_t KC>
+void step_communities(std::size_t nx, std::size_t kc, dl_workspace& ws,
+                      bool uniform, double kk) {
+  const double* r_int = ws.r_int.data();
+  const double* rt = ws.rt.data();
+  const auto step = [&](auto&& react1, auto&& react2) {
+    lane_strang_cn<KC>(nx, kc, ws.u.data(), ws.rhs.data(),
+                       ws.lane_scratch.data(), shared_matrix(ws.cn_rhs),
+                       shared_factor(ws.cn_factor), react1, react2);
+  };
+  if (uniform) {
+    const double growth1 = std::exp(r_int[0]);
+    const double growth2 = std::exp(rt[0]);
+    step([&](double v, std::size_t, std::size_t) {
+           return logistic_exact_with_growth(v, growth1, kk);
+         },
+         [&](double v, std::size_t, std::size_t) {
+           return logistic_exact_with_growth(v, growth2, kk);
+         });
+  } else {
+    step([&](double v, std::size_t i, std::size_t) {
+           return logistic_exact(v, r_int[i], kk);
+         },
+         [&](double v, std::size_t i, std::size_t) {
+           return logistic_exact(v, rt[i], kk);
+         });
+  }
+}
 
 }  // namespace
 
@@ -117,9 +151,10 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
 
   const workspace_guard guard(ws.in_use);
   ws.prepare(n);
+  ws.lane_scratch.resize(std::max(nx, ny));
   std::vector<double>& u = ws.u;
   std::vector<double>& u_star = ws.u_next;  ///< ADI intermediate u*
-  std::vector<double>& col = ws.scratch;    ///< gathered y column (≥ ny)
+  std::vector<double>& y_rhs = ws.rhs;      ///< pass-2 rhs, solved in place
   u.assign(phi_samples.begin(), phi_samples.end());
 
   // The growth rate lives on the x axis (r(x, t), uniform in y), so rate
@@ -146,17 +181,17 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
   build_operators(options.dt);
 
   const double kk = params.k;
-  /// Exact-logistic reaction half-step over the whole grid; `rates[i]` is
-  /// the integrated rate of x node i (one shared exp when uniform in x).
-  const auto react = [&](std::span<const double> rates) {
+  /// First exact-logistic reaction half-step over the whole grid; r_int[i]
+  /// is the integrated rate of x node i (one shared exp when uniform in x).
+  const auto react1 = [&] {
     if (sampler.uniform()) {
-      const double growth = std::exp(rates[0]);
+      const double growth = std::exp(r_int[0]);
       for (std::size_t idx = 0; idx < n; ++idx)
         u[idx] = logistic_exact_with_growth(u[idx], growth, kk);
     } else {
       for (std::size_t j = 0; j < ny; ++j)
         for (std::size_t i = 0; i < nx; ++i)
-          u[j * nx + i] = logistic_exact(u[j * nx + i], rates[i], kk);
+          u[j * nx + i] = logistic_exact(u[j * nx + i], r_int[i], kk);
     }
   };
 
@@ -176,9 +211,12 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
     sampler.integrals_over(t + 0.5 * h, t + h, rt);
-    react(r_int);
+    react1();
 
-    // ADI pass 1: explicit y operator, implicit x solve row by row.
+    // ADI pass 1: explicit y operator row by row, then every row's
+    // implicit x solve at once — ny lanes of one lane_thomas sharing
+    // cn_factor, read through a strided lane view (lane j, node i at
+    // u*[j·nx + i]).
     for (std::size_t j = 0; j < ny; ++j) {
       const double* row = u.data() + j * nx;
       const double* below = j > 0 ? row - nx : nullptr;
@@ -190,13 +228,20 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
         if (above != nullptr) acc += ay.upper[j] * above[i];
         out[i] = acc;
       }
-      ws.cn_factor.solve_in_place(std::span<double>(out, nx));
     }
+    lane_thomas<0>(nx, ny, u_star.data(), 1, nx, ws.lane_scratch.data(),
+                   shared_factor(ws.cn_factor), rhs_in_place,
+                   [&](std::size_t i, const double* w) {
+                     for (std::size_t j = 0; j < ny; ++j) u_star[j * nx + i] = w[j];
+                   });
 
-    // ADI pass 2: explicit x operator, implicit y solve column by column.
+    // ADI pass 2: explicit x operator row by row, then the implicit y
+    // solve — the nx columns are already lane-contiguous in row-major
+    // storage — with the second reaction half-step applied to each row as
+    // back substitution finishes it.
     for (std::size_t j = 0; j < ny; ++j) {
       const double* row = u_star.data() + j * nx;
-      double* out = u.data() + j * nx;
+      double* out = y_rhs.data() + j * nx;
       for (std::size_t i = 0; i < nx; ++i) {
         double acc = ax.diag[i] * row[i];
         if (i > 0) acc += ax.lower[i - 1] * row[i - 1];
@@ -204,14 +249,21 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
         out[i] = acc;
       }
     }
-    for (std::size_t i = 0; i < nx; ++i) {
-      for (std::size_t j = 0; j < ny; ++j) col[j] = u[j * nx + i];
-      ws.cn_factor_y.solve_in_place(std::span<double>(col.data(), ny));
-      for (std::size_t j = 0; j < ny; ++j) u[j * nx + i] = col[j];
-    }
+    const double growth2 = sampler.uniform() ? std::exp(rt[0]) : 0.0;
+    lane_thomas<0>(ny, nx, y_rhs.data(), nx, 1, ws.lane_scratch.data(),
+                   shared_factor(ws.cn_factor_y), rhs_in_place,
+                   [&](std::size_t j, const double* w) {
+                     double* out = u.data() + j * nx;
+                     if (sampler.uniform()) {
+                       for (std::size_t i = 0; i < nx; ++i)
+                         out[i] = logistic_exact_with_growth(w[i], growth2, kk);
+                     } else {
+                       for (std::size_t i = 0; i < nx; ++i)
+                         out[i] = logistic_exact(w[i], rt[i], kk);
+                     }
+                   });
 
-    react(rt);
-    rec.record_if_due(t + h, step + 1 == total_steps, u);
+    if (rec.due(t + h, step + 1 == total_steps)) rec.append(t + h, u);
   }
 
   return dl_solution(grid, std::move(rec.times), std::move(rec.trace), ny);
@@ -234,9 +286,15 @@ dl_solution solve_dl_communities(const dl_parameters& params,
 
   const workspace_guard guard(ws.in_use);
   ws.prepare(n);
+  ws.lane_scratch.resize(4 * kc);
+  // Node-major state u[i·K + c]: node i's K communities are the K lanes of
+  // one interleaved Strang–CN sweep.  Mixing and records use the domain's
+  // community-major layout (c·nx + i).
   std::vector<double>& u = ws.u;
   std::vector<double>& pre_mix = ws.u_next;
-  u.assign(phi_samples.begin(), phi_samples.end());
+  std::vector<double>& mixed = ws.lap;
+  for (std::size_t c = 0; c < kc; ++c)
+    for (std::size_t i = 0; i < nx; ++i) u[i * kc + c] = phi_samples[c * nx + i];
 
   for (std::size_t i = 0; i < nx; ++i) ws.node_x[i] = grid.x(i);
   const rate_sampler sampler(
@@ -264,7 +322,7 @@ dl_solution solve_dl_communities(const dl_parameters& params,
       std::ceil((t_end - t0) / options.dt - 1e-12));
   recorder rec(n, total_steps, t0, t_end, options);
   rec.times.push_back(t0);
-  rec.trace.append_row(u);
+  rec.trace.append_row(phi_samples);
 
   for (std::size_t step = 0; step < total_steps; ++step) {
     const double t = t0 + static_cast<double>(step) * options.dt;
@@ -274,17 +332,27 @@ dl_solution solve_dl_communities(const dl_parameters& params,
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
     sampler.integrals_over(t + 0.5 * h, t + h, rt);
-    for (std::size_t c = 0; c < kc; ++c)
-      strang_cn_step(nx, u.data() + c * nx, ws.rhs.data(), ws.cn_rhs,
-                     ws.cn_factor, sampler.uniform(), r_int.data(), rt.data(),
-                     params.k);
+    switch (kc) {
+      case 2: step_communities<2>(nx, kc, ws, sampler.uniform(), params.k); break;
+      case 3: step_communities<3>(nx, kc, ws, sampler.uniform(), params.k); break;
+      case 4: step_communities<4>(nx, kc, ws, sampler.uniform(), params.k); break;
+      case 8: step_communities<8>(nx, kc, ws, sampler.uniform(), params.k); break;
+      default: step_communities<0>(nx, kc, ws, sampler.uniform(), params.k);
+    }
 
+    const auto to_community_major = [&](std::vector<double>& out) {
+      for (std::size_t c = 0; c < kc; ++c)
+        for (std::size_t i = 0; i < nx; ++i) out[c * nx + i] = u[i * kc + c];
+    };
     if (mixing_on) {
       // Explicit-Euler exchange against the pre-mixing state, so the
-      // update is symmetric in community order (and deterministic).
-      pre_mix.assign(u.begin(), u.end());
+      // update is symmetric in community order (and deterministic).  It
+      // runs on community-major copies, where each pair's update is one
+      // contiguous loop.
+      to_community_major(pre_mix);
+      std::copy(pre_mix.begin(), pre_mix.end(), mixed.begin());
       for (std::size_t c = 0; c < kc; ++c) {
-        double* dst = u.data() + c * nx;
+        double* dst = mixed.data() + c * nx;
         const double* own = pre_mix.data() + c * nx;
         for (std::size_t c2 = 0; c2 < kc; ++c2) {
           if (c2 == c) continue;
@@ -295,9 +363,14 @@ dl_solution solve_dl_communities(const dl_parameters& params,
             dst[i] += h * rate * (other[i] - own[i]);
         }
       }
+      for (std::size_t c = 0; c < kc; ++c)
+        for (std::size_t i = 0; i < nx; ++i) u[i * kc + c] = mixed[c * nx + i];
     }
 
-    rec.record_if_due(t + h, step + 1 == total_steps, u);
+    if (rec.due(t + h, step + 1 == total_steps)) {
+      to_community_major(mixed);
+      rec.append(t + h, mixed);
+    }
   }
 
   return dl_solution(grid, std::move(rec.times), std::move(rec.trace), kc);

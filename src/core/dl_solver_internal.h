@@ -257,6 +257,176 @@ inline void strang_cn_step(std::size_t n, double* u, double* rhs,
   }
 }
 
+// ---------------------------------------------------------------------------
+// The lane kernel: W independent tridiagonal solves advanced node by node
+// with the lanes innermost.  A Thomas sweep is a serial chain of divisions;
+// interleaving W chains lets them overlap (and, for contiguous lanes,
+// vectorize) instead of running back to back.  Its callers: the batched
+// solver (W compatible requests, per-lane coefficients), both ADI passes
+// of the 2-D sheet (one lane per grid line, one factorization per axis)
+// and the coupled communities (K lanes sharing one factorization).
+// ---------------------------------------------------------------------------
+
+/// Row i of a coefficient array as node i's lanes read it: one value for
+/// every lane (`shared_rows`: a matrix or factorization serving the whole
+/// batch) or `width` per-lane values scattered at [i·width + l]
+/// (`lane_rows`).
+struct shared_rows {
+  const double* p;
+  [[nodiscard]] double row(std::size_t i) const { return p[i]; }
+};
+struct lane_rows {
+  const double* p;
+  std::size_t width;
+  [[nodiscard]] const double* row(std::size_t i) const { return p + i * width; }
+};
+inline double lane_value(double shared, std::size_t) { return shared; }
+inline double lane_value(const double* lanes, std::size_t l) { return lanes[l]; }
+
+/// A Thomas factorization (tridiagonal_factorization's three arrays) and a
+/// tridiagonal matrix, seen through row views.
+template <class Rows>
+struct lane_factor {
+  Rows lower, pivot, c_star;
+};
+template <class Rows>
+struct lane_matrix {
+  Rows lower, diag, upper;
+};
+
+inline lane_factor<shared_rows> shared_factor(
+    const num::tridiagonal_factorization& f) {
+  return {{f.lower().data()}, {f.pivots().data()}, {f.c_star().data()}};
+}
+inline lane_matrix<shared_rows> shared_matrix(const num::tridiagonal_matrix& m) {
+  return {{m.lower.data()}, {m.diag.data()}, {m.upper.data()}};
+}
+
+/// The lane_thomas rhs hook for systems whose right-hand side already
+/// sits in x: each lane's value is used as it is.
+inline constexpr auto rhs_in_place = [](std::size_t) {
+  return [](std::size_t, double b) { return b; };
+};
+
+// One node of the sweep across the lanes (lane l at row[l·ls], its
+// recurrence carry at w[l]).  Separate functions so the __restrict
+// qualifiers reach the vectorizer after inlining; WC is the compile-time
+// lane count or 0.  rhs(l, x) yields lane l's right-hand side given the
+// value x currently stored for it.
+template <std::size_t WC, class R, class Rhs>
+inline void lane_forward_first(std::size_t width, std::size_t ls,
+                               double* __restrict row, double* __restrict w,
+                               R pivot, Rhs&& rhs) {
+  for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l) {
+    w[l] = rhs(l, row[l * ls]) / lane_value(pivot, l);
+    row[l * ls] = w[l];
+  }
+}
+template <std::size_t WC, class R, class Rhs>
+inline void lane_forward(std::size_t width, std::size_t ls,
+                         double* __restrict row, double* __restrict w,
+                         R lower, R pivot, Rhs&& rhs) {
+  for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l) {
+    w[l] = (rhs(l, row[l * ls]) - lane_value(lower, l) * w[l]) /
+           lane_value(pivot, l);
+    row[l * ls] = w[l];
+  }
+}
+template <std::size_t WC, class R>
+inline void lane_backward(std::size_t width, std::size_t ls,
+                          const double* __restrict row, double* __restrict w,
+                          R c_star) {
+  for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l)
+    w[l] = row[l * ls] - lane_value(c_star, l) * w[l];
+}
+
+/// Solves `width` tridiagonal systems of n ≥ 2 unknowns; lane l of node i
+/// is x[i·ns + l·ls].  Contiguous lanes (ls = 1) serve the batch, the
+/// communities and the ADI y-pass; the ADI x-pass reads its grid rows
+/// through a strided lane view (ns = 1, ls = nx).  `w` is `width` doubles
+/// of carry scratch.
+///
+/// Each lane runs tridiagonal_factorization::solve_in_place's operation
+/// sequence exactly — x₀ ← b₀/d'₀, xᵢ ← (bᵢ − lᵢ₋₁·xᵢ₋₁)/d'ᵢ, then
+/// xᵢ ← xᵢ − c*ᵢ·xᵢ₊₁ — so its result is bitwise the scalar solve's.  Two
+/// per-node hooks fuse neighbouring work into the sweeps:
+///  * rhs(i) runs before node i is eliminated and returns the node's
+///    per-lane right-hand side, (l, stored value) → bᵢ (rhs_in_place when
+///    x already holds it; the fused Strang–CN step forms its
+///    Crank–Nicolson rhs here instead);
+///  * post(i, w) receives node i's finished lanes during back
+///    substitution (i = n−1 … 0); x keeps the forward sweep, not the
+///    solution.
+template <std::size_t WC, class Rows, class Rhs, class Post>
+inline void lane_thomas(std::size_t n, std::size_t width, double* x,
+                        std::size_t ns, std::size_t ls, double* w,
+                        const lane_factor<Rows>& f, Rhs&& rhs, Post&& post) {
+  lane_forward_first<WC>(width, ls, x, w, f.pivot.row(0), rhs(std::size_t{0}));
+  for (std::size_t i = 1; i + 1 < n; ++i)
+    lane_forward<WC>(width, ls, x + i * ns, w, f.lower.row(i - 1),
+                     f.pivot.row(i), rhs(i));
+  lane_forward<WC>(width, ls, x + (n - 1) * ns, w, f.lower.row(n - 2),
+                   f.pivot.row(n - 1), rhs(n - 1));
+  post(n - 1, static_cast<const double*>(w));
+  for (std::size_t i = n - 1; i-- > 0;) {
+    lane_backward<WC>(width, ls, x + i * ns, w, f.c_star.row(i));
+    post(i, static_cast<const double*>(w));
+  }
+}
+
+template <std::size_t WC, class React>
+inline void lane_react(std::size_t width, std::size_t i,
+                       double* __restrict out, const double* __restrict in,
+                       React& react) {
+  for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l)
+    out[l] = react(in[l], i, l);
+}
+
+/// strang_cn_fused_step on W contiguous lanes: u holds them node-major
+/// (u[i·W + l]), x is n·W elimination scratch and `scratch` 4·W more (the
+/// carry and three rolling reaction rows).  The first reaction half-step
+/// is evaluated one node ahead of the elimination, node i's rhs is
+/// dm·vᵢ, += lm·vᵢ₋₁, += um·vᵢ₊₁ in the scalar order, and the second
+/// half-step is applied to each node as back substitution finishes it.
+/// react(v, i, l) → double.
+template <std::size_t WC, class Rows, class React1, class React2>
+inline void lane_strang_cn(std::size_t n, std::size_t width, double* u,
+                           double* x, double* scratch,
+                           const lane_matrix<Rows>& m,
+                           const lane_factor<Rows>& f, React1&& react1,
+                           React2&& react2) {
+  const std::size_t W = WC == 0 ? width : WC;
+  double* vp = scratch + W;
+  double* vc = vp + W;
+  double* vn = vc + W;
+  lane_react<WC>(W, 0, vc, u, react1);
+  lane_react<WC>(W, 1, vn, u + W, react1);
+  lane_thomas<WC>(
+      n, W, x, W, 1, scratch, f,
+      [&](std::size_t i) {
+        if (i > 0) {
+          std::swap(vp, vc);
+          std::swap(vc, vn);
+          if (i + 1 < n) lane_react<WC>(W, i + 1, vn, u + (i + 1) * W, react1);
+        }
+        const auto dm = m.diag.row(i);
+        const auto lm = m.lower.row(i > 0 ? i - 1 : 0);
+        const auto um = m.upper.row(i + 1 < n ? i : 0);
+        const double* p = vp;
+        const double* c = vc;
+        const double* nx = vn;
+        return [=](std::size_t l, double) {
+          double acc = lane_value(dm, l) * c[l];
+          if (i > 0) acc += lane_value(lm, l) * p[l];
+          if (i + 1 < n) acc += lane_value(um, l) * nx[l];
+          return acc;
+        };
+      },
+      [&](std::size_t i, const double* w) {
+        lane_react<WC>(W, i, u + i * W, w, react2);
+      });
+}
+
 /// Non-line domain solvers (dl_domain_solver.cpp): Peaceman–Rachford ADI
 /// on the 2-D grid, fused Strang–CN per community plus the explicit
 /// mixing substep on coupled communities.  Dispatched to by
