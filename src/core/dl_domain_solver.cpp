@@ -1,6 +1,6 @@
 // Non-line domain solvers for the Diffusive Logistic equation.
 //
-// solve_dl_profile dispatches here for the two non-line domain kinds
+// detail::solve_profile dispatches here for the two non-line domain kinds
 // (core/domain.h); the 1-D line keeps its original stepping loops in
 // dl_solver.cpp, untouched.
 //

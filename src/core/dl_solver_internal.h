@@ -40,6 +40,15 @@ namespace detail {
 [[nodiscard]] dl_solution solve_request_scalar(const solve_request& request,
                                                dl_workspace& ws);
 
+/// The scalar solver proper: every scheme on the line, dispatching the
+/// non-line domains to their solvers below.  `phi_samples` is the full
+/// initial state on the domain's grid.  Defined in dl_solver.cpp.
+[[nodiscard]] dl_solution solve_profile(const dl_parameters& params,
+                                        std::span<const double> phi_samples,
+                                        double t0, double t_end,
+                                        const dl_solver_options& options,
+                                        dl_workspace& ws);
+
 /// Exact logistic propagator: N ← K·N·e^R / (K + N·(e^R − 1)) where R is
 /// the integrated rate over the step.  Maps [0, K] into [0, K] for R ≥ 0.
 inline double logistic_exact(double n, double integrated_rate, double k) {
@@ -428,9 +437,9 @@ inline void lane_strang_cn(std::size_t n, std::size_t width, double* u,
 }
 
 /// Non-line domain solvers (dl_domain_solver.cpp): Peaceman–Rachford ADI
-/// on the 2-D grid, fused Strang–CN per community plus the explicit
-/// mixing substep on coupled communities.  Dispatched to by
-/// solve_dl_profile; both accept only dl_scheme::strang_cn.
+/// on the 2-D grid, the fused Strang–CN lane kernel over the communities
+/// plus the explicit mixing substep.  Dispatched to by solve_profile;
+/// both accept only dl_scheme::strang_cn.
 [[nodiscard]] dl_solution solve_dl_grid2d(const dl_parameters& params,
                                           std::span<const double> phi_samples,
                                           double t0, double t_end,

@@ -1,6 +1,6 @@
 // Reusable scratch buffers for the DL solver hot path.
 //
-// A single solve_dl_profile call needs ~10 heap vectors (state, Laplacian,
+// A single solve needs ~10 heap vectors (state, Laplacian,
 // tridiagonal rhs/scratch, per-node rates and integrated rates, Newton
 // Jacobian and residual, RK4 stages) plus the Crank–Nicolson matrices and
 // their cached Thomas factorization.  A calibration sweep issues hundreds
@@ -11,12 +11,12 @@
 //
 // Two ways to get one:
 //
-//  * do nothing — the plain solve_dl / solve_dl_profile overloads borrow
-//    a thread-local workspace (thread_workspace()), so every caller —
-//    including each engine pool worker running calibration probes —
-//    reuses buffers across solves automatically;
-//  * pass one explicitly to the workspace-taking overloads when you want
-//    buffer lifetime under your control: deterministic memory accounting
+//  * do nothing — a solve_request without a workspace borrows a
+//    thread-local one (thread_workspace()), so every caller — including
+//    each engine pool worker running calibration probes — reuses buffers
+//    across solves automatically;
+//  * set solve_request::workspace when you want buffer lifetime under
+//    your control: deterministic memory accounting
 //    in tests/benches, or a solver embedded in a custom threading layer
 //    where thread identity is not a useful cache key.
 //
@@ -83,7 +83,7 @@ struct dl_workspace {
   void prepare(std::size_t n);
 };
 
-/// This thread's shared workspace — what the plain solve_dl overloads use.
+/// This thread's shared workspace — what a request without one borrows.
 [[nodiscard]] dl_workspace& thread_workspace();
 
 }  // namespace dlm::core

@@ -384,6 +384,15 @@ void dl_service::accept_loop() {
       ::close(fd);
       continue;
     }
+    // Reap finished connections: a worker marks fd = -1 under this lock
+    // as its last step, so joining it here returns at once.  Without this
+    // every connection ever served keeps an exited thread and its stack
+    // mapping until shutdown.
+    std::erase_if(connections_, [](const std::unique_ptr<connection>& c) {
+      if (c->fd >= 0) return false;
+      c->worker.join();
+      return true;
+    });
     auto conn = std::make_unique<connection>();
     conn->fd = fd;
     connection* raw = conn.get();

@@ -16,7 +16,8 @@ const std::vector<double> observed{1.9, 0.8, 1.1, 0.6, 0.4, 0.3};
 TEST(DlVariable, ConstantCoefficientsMatchPlainSolver) {
   const dl_parameters plain = dl_parameters::paper_hops(6.0);
   const initial_condition phi(observed);
-  const dl_solution reference = solve_dl(plain, phi, 1.0, 6.0);
+  const dl_solution reference =
+      solve_dl({.params = &plain, .phi = &phi, .t0 = 1.0, .t_end = 6.0});
 
   const dl_variable_parameters lifted =
       dl_variable_parameters::from_constant(plain);

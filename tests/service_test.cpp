@@ -18,6 +18,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -369,6 +370,33 @@ TEST(Service, ShutdownMidRequestStillAnswersTheInFlightRequest) {
   ASSERT_TRUE(load.loaded) << load.error;
   EXPECT_GT(load.traces + load.values, 0u);
   std::filesystem::remove(cache_file);
+}
+
+/// Lines of /proc/self/maps: one per mapping, so a thread stack that is
+/// never released shows up as a steady climb.
+std::size_t mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  std::size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(Service, FinishedConnectionsAreReapedNotAccumulated) {
+  // One connection per call is what the remote shard client does.  Each
+  // finished connection must release its worker thread: an unjoined
+  // thread keeps its stack mapping, and a server that never reaps them
+  // hits vm.max_map_count after ~32k connections.
+  test_service ts;
+  const auto cycle = [&] {
+    service_client client(ts.socket_path);
+    ASSERT_EQ(client.request("ping"), "ok pong");
+  };
+  for (int i = 0; i < 50; ++i) cycle();
+  const std::size_t before = mapping_count();
+  for (int i = 0; i < 2000; ++i) cycle();
+  EXPECT_LT(mapping_count(), before + 100);
+  ts.service->stop();
+  EXPECT_TRUE(ts.service->stopped());
 }
 
 TEST(Service, StopIsIdempotentAndTheDestructorIsSafeAfterIt) {

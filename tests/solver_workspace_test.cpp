@@ -34,6 +34,20 @@ core::dl_solver_options options_for(dl_scheme scheme,
   return opts;
 }
 
+/// One solve over [t0, t_end] through a solve_request; `ws` pins it to
+/// that workspace, null borrows the thread-local one.
+core::dl_solution solve(const core::dl_parameters& params,
+                        const core::initial_condition& phi, double t0,
+                        double t_end, const core::dl_solver_options& opts,
+                        core::dl_workspace* ws = nullptr) {
+  return core::solve_dl({.params = &params,
+                         .phi = &phi,
+                         .t0 = t0,
+                         .t_end = t_end,
+                         .options = opts,
+                         .workspace = ws});
+}
+
 core::dl_parameters spatial_params() {
   core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
   params.r = core::rate_field::separable(
@@ -71,15 +85,15 @@ TEST_P(WorkspaceReuse, BackToBackSolvesMatchFreshWorkspace) {
 
     core::dl_workspace fresh1;
     const core::dl_solution ref =
-        solve_dl(params, phi, 1.0, 6.0, opts, fresh1);
+        solve(params, phi, 1.0, 6.0, opts, &fresh1);
 
     // Same workspace, twice in a row: the second solve starts from dirty
     // buffers and must not care.
     core::dl_workspace reused;
     const core::dl_solution first =
-        solve_dl(params, phi, 1.0, 6.0, opts, reused);
+        solve(params, phi, 1.0, 6.0, opts, &reused);
     const core::dl_solution second =
-        solve_dl(params, phi, 1.0, 6.0, opts, reused);
+        solve(params, phi, 1.0, 6.0, opts, &reused);
     expect_bitwise_equal(first, ref, what);
     expect_bitwise_equal(second, ref, what);
   }
@@ -98,8 +112,8 @@ TEST_P(WorkspaceReuse, ReuseAcrossGridSizesAndRateFamilies) {
           spatial ? spatial_params() : core::dl_parameters::paper_hops(6.0);
       const core::dl_solver_options opts = options_for(scheme, ppu);
       core::dl_workspace fresh;
-      const core::dl_solution a = solve_dl(params, phi, 1.0, 4.0, opts, fresh);
-      const core::dl_solution b = solve_dl(params, phi, 1.0, 4.0, opts, reused);
+      const core::dl_solution a = solve(params, phi, 1.0, 4.0, opts, &fresh);
+      const core::dl_solution b = solve(params, phi, 1.0, 4.0, opts, &reused);
       expect_bitwise_equal(a, b, spatial ? "spatial" : "temporal");
     }
   }
@@ -123,12 +137,11 @@ TEST(WorkspaceReuse, ThreadLocalWrapperMatchesExplicitWorkspace) {
   const core::dl_solver_options opts = options_for(dl_scheme::strang_cn);
 
   core::dl_workspace explicit_ws;
-  const core::dl_solution a = solve_dl(params, phi, 1.0, 6.0, opts,
-                                       explicit_ws);
-  // The plain overload borrows the thread-local workspace; run it twice
+  const core::dl_solution a = solve(params, phi, 1.0, 6.0, opts, &explicit_ws);
+  // A request without a workspace borrows the thread-local one; run it twice
   // so the second call exercises thread-local reuse.
-  const core::dl_solution b = solve_dl(params, phi, 1.0, 6.0, opts);
-  const core::dl_solution c = solve_dl(params, phi, 1.0, 6.0, opts);
+  const core::dl_solution b = solve(params, phi, 1.0, 6.0, opts);
+  const core::dl_solution c = solve(params, phi, 1.0, 6.0, opts);
   expect_bitwise_equal(b, a, "thread-local (cold)");
   expect_bitwise_equal(c, a, "thread-local (warm)");
 }
@@ -142,8 +155,8 @@ TEST(WorkspaceReuse, TrailingShortStepRefactorsCleanly) {
   opts.dt = 0.03;
 
   core::dl_workspace ws;
-  const core::dl_solution a = solve_dl(params, phi, 1.0, 5.75, opts, ws);
-  const core::dl_solution b = solve_dl(params, phi, 1.0, 5.75, opts, ws);
+  const core::dl_solution a = solve(params, phi, 1.0, 5.75, opts, &ws);
+  const core::dl_solution b = solve(params, phi, 1.0, 5.75, opts, &ws);
   expect_bitwise_equal(b, a, "trailing step");
 }
 
@@ -178,8 +191,8 @@ TEST(TraceStorage, RowsViewTheContiguousBuffer) {
 TEST(TraceStorage, SolutionStatesAreContiguous) {
   const core::initial_condition phi(observed);
   const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
-  const core::dl_solution sol = solve_dl(params, phi, 1.0, 6.0,
-                                         options_for(dl_scheme::strang_cn));
+  const core::dl_solution sol =
+      solve(params, phi, 1.0, 6.0, options_for(dl_scheme::strang_cn));
   const core::trace_storage& states = sol.states();
   ASSERT_EQ(states.size(), sol.times().size());
   EXPECT_EQ(states.data().size(), states.size() * states.cols());
