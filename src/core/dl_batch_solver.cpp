@@ -3,10 +3,10 @@
 // Compatible requests — same scheme, grid, dt, record cadence and time
 // window — form a group whose W lanes share one time loop over the
 // structure-of-arrays dl_batch_workspace (u[node*W + lane]).  The per-node
-// inner loops then run over W contiguous lanes: the Strang–CN forward
-// elimination and back substitution interleave W independent Thomas
-// chains (the serial division chain of lane A overlaps the multiplies of
-// lanes B..), and the logistic reaction substeps vectorize across lanes.
+// inner loops then run over W contiguous lanes: the Strang–CN step is the
+// shared lane kernel (detail::lane_strang_cn), whose W interleaved Thomas
+// chains overlap their divisions, and the reaction substeps vectorize
+// across lanes.
 //
 // Bitwise identity with the scalar path is the load-bearing contract
 // (engine::solve_cache keys, golden fits and CSV output must not depend
@@ -87,12 +87,9 @@ class batch_guard {
 /// their slots in `solved`.  `members` lists request indices in original
 /// request order (grouping is index-stable).
 ///
-/// WC is the lane count when it is one of the specialized widths (the
-/// default batch width and its halves) and 0 for the runtime-width
-/// fallback: with W a compile-time constant the per-node lane loops fully
-/// unroll into straight vector code instead of tiny runtime-trip-count
-/// loops whose setup dominates at W = 2..8.  The arithmetic is identical
-/// in every instantiation, so specialization cannot change bits.
+/// WC is the lane count for the specialized widths (the default batch
+/// width and its halves) and 0 for the runtime-width fallback; the
+/// arithmetic is identical in every instantiation.
 template <std::size_t WC>
 void solve_group(std::span<const solve_request> requests,
                  const group_key& key, std::span<const std::size_t> members,
@@ -265,8 +262,7 @@ void solve_group(std::span<const solve_request> requests,
     // trailing step (the scalar path does the same).
     if (h != key.dt) build_cn(h);
 
-    // The scalar fused Strang step on W lanes, each lane reading its own
-    // scattered Crank–Nicolson coefficients.
+    // Each lane reads its own scattered Crank–Nicolson coefficients.
     const detail::lane_matrix<detail::lane_rows> m{
         {bws.cn_lm.data(), W}, {bws.cn_dm.data(), W}, {bws.cn_um.data(), W}};
     const detail::lane_factor<detail::lane_rows> f{
@@ -446,24 +442,14 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
   }
 
   for (const group& g : groups) {
-    switch (g.members.size()) {
-      case 1:
-        solved[g.members.front()] = detail::solve_request_scalar(
-            requests[g.members.front()], workspace.scalar);
-        break;
-      case 2:
-        solve_group<2>(requests, g.key, g.members, workspace, solved);
-        break;
-      case 4:
-        solve_group<4>(requests, g.key, g.members, workspace, solved);
-        break;
-      case 8:
-        solve_group<8>(requests, g.key, g.members, workspace, solved);
-        break;
-      default:
-        solve_group<0>(requests, g.key, g.members, workspace, solved);
-        break;
+    if (g.members.size() == 1) {
+      solved[g.members.front()] = detail::solve_request_scalar(
+          requests[g.members.front()], workspace.scalar);
+      continue;
     }
+    detail::dispatch_width<2, 4, 8>(g.members.size(), [&]<std::size_t W>() {
+      solve_group<W>(requests, g.key, g.members, workspace, solved);
+    });
   }
   for (const std::size_t i : scalar_lanes) {
     const solve_request& request = requests[i];

@@ -48,71 +48,6 @@ void require_strang(const dl_parameters& params,
                                 to_string(options.scheme) + ")");
 }
 
-/// Snapshot recording state shared by both solvers — the same cadence
-/// expressions as the 1-D line, so record times match across domains.
-struct recorder {
-  std::vector<double> times;
-  trace_storage trace;
-  double next_record;
-  double record_dt;
-
-  recorder(std::size_t n, std::size_t total_steps, double t0, double t_end,
-           const dl_solver_options& options)
-      : trace(n), next_record(t0 + options.record_dt),
-        record_dt(options.record_dt) {
-    std::size_t max_records = total_steps;
-    if (options.record_dt > 0.0) {
-      const double est = (t_end - t0) / options.record_dt;
-      if (est < static_cast<double>(total_steps))
-        max_records = static_cast<std::size_t>(est) + 1;
-    }
-    times.reserve(max_records + 2);
-    trace.reserve(max_records + 2);
-  }
-
-  /// True when the step ending at t_new must be recorded.
-  [[nodiscard]] bool due(double t_new, bool last_step) const {
-    return t_new + 1e-12 >= next_record || last_step;
-  }
-  void append(double t_new, std::span<const double> state) {
-    times.push_back(t_new);
-    trace.append_row(state);
-    while (next_record <= t_new + 1e-12) next_record += record_dt;
-  }
-};
-
-/// One fused Strang–CN step of every community: strang_cn_step on the K
-/// lanes of the node-major state in ws.u, all sharing ws's operator and
-/// integrated rates.
-template <std::size_t KC>
-void step_communities(std::size_t nx, std::size_t kc, dl_workspace& ws,
-                      bool uniform, double kk) {
-  const double* r_int = ws.r_int.data();
-  const double* rt = ws.rt.data();
-  const auto step = [&](auto&& react1, auto&& react2) {
-    lane_strang_cn<KC>(nx, kc, ws.u.data(), ws.rhs.data(),
-                       ws.lane_scratch.data(), shared_matrix(ws.cn_rhs),
-                       shared_factor(ws.cn_factor), react1, react2);
-  };
-  if (uniform) {
-    const double growth1 = std::exp(r_int[0]);
-    const double growth2 = std::exp(rt[0]);
-    step([&](double v, std::size_t, std::size_t) {
-           return logistic_exact_with_growth(v, growth1, kk);
-         },
-         [&](double v, std::size_t, std::size_t) {
-           return logistic_exact_with_growth(v, growth2, kk);
-         });
-  } else {
-    step([&](double v, std::size_t i, std::size_t) {
-           return logistic_exact(v, r_int[i], kk);
-         },
-         [&](double v, std::size_t i, std::size_t) {
-           return logistic_exact(v, rt[i], kk);
-         });
-  }
-}
-
 }  // namespace
 
 std::vector<double> broadcast_profile(const dl_parameters& params,
@@ -181,25 +116,23 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
   build_operators(options.dt);
 
   const double kk = params.k;
-  /// First exact-logistic reaction half-step over the whole grid; r_int[i]
-  /// is the integrated rate of x node i (one shared exp when uniform in x).
-  const auto react1 = [&] {
+  /// Exact-logistic reaction half-step of one grid row, `in` → `out`:
+  /// rates[i] is x node i's integrated rate, `growth` its exponential when
+  /// the rate is uniform in x (then shared by every node).
+  const auto react_row = [&](const double* rates, double growth,
+                             const double* in, double* out) {
     if (sampler.uniform()) {
-      const double growth = std::exp(r_int[0]);
-      for (std::size_t idx = 0; idx < n; ++idx)
-        u[idx] = logistic_exact_with_growth(u[idx], growth, kk);
+      for (std::size_t i = 0; i < nx; ++i)
+        out[i] = logistic_exact_with_growth(in[i], growth, kk);
     } else {
-      for (std::size_t j = 0; j < ny; ++j)
-        for (std::size_t i = 0; i < nx; ++i)
-          u[j * nx + i] = logistic_exact(u[j * nx + i], r_int[i], kk);
+      for (std::size_t i = 0; i < nx; ++i)
+        out[i] = logistic_exact(in[i], rates[i], kk);
     }
   };
 
   const std::size_t total_steps = static_cast<std::size_t>(
       std::ceil((t_end - t0) / options.dt - 1e-12));
-  recorder rec(n, total_steps, t0, t_end, options);
-  rec.times.push_back(t0);
-  rec.trace.append_row(u);
+  recorder rec(total_steps, t0, t_end, options, u);
 
   const num::tridiagonal_matrix& ax = ws.cn_rhs;    // I + (λx/2)Ax
   const num::tridiagonal_matrix& ay = ws.cn_rhs_y;  // I + (λy/2)Ay
@@ -211,12 +144,14 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
     sampler.integrals_over(t + 0.5 * h, t + h, rt);
-    react1();
+    const double growth1 = sampler.uniform() ? std::exp(r_int[0]) : 0.0;
+    const double growth2 = sampler.uniform() ? std::exp(rt[0]) : 0.0;
+    for (std::size_t j = 0; j < ny; ++j)
+      react_row(r_int.data(), growth1, u.data() + j * nx, u.data() + j * nx);
 
     // ADI pass 1: explicit y operator row by row, then every row's
-    // implicit x solve at once — ny lanes of one lane_thomas sharing
-    // cn_factor, read through a strided lane view (lane j, node i at
-    // u*[j·nx + i]).
+    // implicit x solve at once — ny lanes sharing cn_factor, read through
+    // a strided lane view (lane j, node i at u*[j·nx + i]).
     for (std::size_t j = 0; j < ny; ++j) {
       const double* row = u.data() + j * nx;
       const double* below = j > 0 ? row - nx : nullptr;
@@ -232,35 +167,20 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
     lane_thomas<0>(nx, ny, u_star.data(), 1, nx, ws.lane_scratch.data(),
                    shared_factor(ws.cn_factor), rhs_in_place,
                    [&](std::size_t i, const double* w) {
-                     for (std::size_t j = 0; j < ny; ++j) u_star[j * nx + i] = w[j];
+                     for (std::size_t j = 0; j < ny; ++j)
+                       u_star[j * nx + i] = w[j];
                    });
 
     // ADI pass 2: explicit x operator row by row, then the implicit y
-    // solve — the nx columns are already lane-contiguous in row-major
-    // storage — with the second reaction half-step applied to each row as
-    // back substitution finishes it.
-    for (std::size_t j = 0; j < ny; ++j) {
-      const double* row = u_star.data() + j * nx;
-      double* out = y_rhs.data() + j * nx;
-      for (std::size_t i = 0; i < nx; ++i) {
-        double acc = ax.diag[i] * row[i];
-        if (i > 0) acc += ax.lower[i - 1] * row[i - 1];
-        if (i + 1 < nx) acc += ax.upper[i] * row[i + 1];
-        out[i] = acc;
-      }
-    }
-    const double growth2 = sampler.uniform() ? std::exp(rt[0]) : 0.0;
+    // solve over the nx columns (lane-contiguous in row-major storage),
+    // with the second reaction half-step applied to each finished row.
+    for (std::size_t j = 0; j < ny; ++j)
+      ax.multiply_into({u_star.data() + j * nx, nx},
+                       {y_rhs.data() + j * nx, nx});
     lane_thomas<0>(ny, nx, y_rhs.data(), nx, 1, ws.lane_scratch.data(),
                    shared_factor(ws.cn_factor_y), rhs_in_place,
                    [&](std::size_t j, const double* w) {
-                     double* out = u.data() + j * nx;
-                     if (sampler.uniform()) {
-                       for (std::size_t i = 0; i < nx; ++i)
-                         out[i] = logistic_exact_with_growth(w[i], growth2, kk);
-                     } else {
-                       for (std::size_t i = 0; i < nx; ++i)
-                         out[i] = logistic_exact(w[i], rt[i], kk);
-                     }
+                     react_row(rt.data(), growth2, w, u.data() + j * nx);
                    });
 
     if (rec.due(t + h, step + 1 == total_steps)) rec.append(t + h, u);
@@ -320,9 +240,7 @@ dl_solution solve_dl_communities(const dl_parameters& params,
 
   const std::size_t total_steps = static_cast<std::size_t>(
       std::ceil((t_end - t0) / options.dt - 1e-12));
-  recorder rec(n, total_steps, t0, t_end, options);
-  rec.times.push_back(t0);
-  rec.trace.append_row(phi_samples);
+  recorder rec(total_steps, t0, t_end, options, phi_samples);
 
   for (std::size_t step = 0; step < total_steps; ++step) {
     const double t = t0 + static_cast<double>(step) * options.dt;
@@ -332,13 +250,12 @@ dl_solution solve_dl_communities(const dl_parameters& params,
 
     sampler.integrals_over(t, t + 0.5 * h, r_int);
     sampler.integrals_over(t + 0.5 * h, t + h, rt);
-    switch (kc) {
-      case 2: step_communities<2>(nx, kc, ws, sampler.uniform(), params.k); break;
-      case 3: step_communities<3>(nx, kc, ws, sampler.uniform(), params.k); break;
-      case 4: step_communities<4>(nx, kc, ws, sampler.uniform(), params.k); break;
-      case 8: step_communities<8>(nx, kc, ws, sampler.uniform(), params.k); break;
-      default: step_communities<0>(nx, kc, ws, sampler.uniform(), params.k);
-    }
+    dispatch_width<1, 2, 3, 4, 8>(kc, [&]<std::size_t KC>() {
+      lane_strang_step<KC>(nx, kc, u.data(), ws.rhs.data(),
+                           ws.lane_scratch.data(), ws.cn_rhs, ws.cn_factor,
+                           sampler.uniform(), r_int.data(), rt.data(),
+                           params.k);
+    });
 
     const auto to_community_major = [&](std::vector<double>& out) {
       for (std::size_t c = 0; c < kc; ++c)

@@ -234,19 +234,7 @@ dl_solution detail::solve_profile(const dl_parameters& params,
 
   // Recorded snapshots: one contiguous buffer, reserved for the exact
   // record count so steady-state stepping never reallocates.
-  std::size_t max_records = total_steps;
-  if (options.record_dt > 0.0) {
-    const double est = (t_end - t0) / options.record_dt;
-    if (est < static_cast<double>(total_steps))
-      max_records = static_cast<std::size_t>(est) + 1;
-  }
-  std::vector<double> times;
-  times.reserve(max_records + 2);
-  trace_storage trace(n);
-  trace.reserve(max_records + 2);
-  times.push_back(t0);
-  trace.append_row(u);
-  double next_record = t0 + options.record_dt;
+  detail::recorder rec(total_steps, t0, t_end, options, u);
 
   std::vector<double>& rt_react = ws.rt_react;
   // Hoisted into a std::function once — handing the lambda to rk4_step
@@ -275,11 +263,10 @@ dl_solution detail::solve_profile(const dl_parameters& params,
         break;
       }
       case dl_scheme::strang_cn: {
-        // One fused Strang step (detail::strang_cn_step): exact-logistic
-        // reaction half-step with the per-node integrated rate, cached
-        // Crank–Nicolson diffusion solve, second reaction half-step —
-        // fused into a forward elimination + backward substitution pass
-        // pair that is bitwise identical to the unfused substeps.
+        // One fused Strang step on the single-lane kernel
+        // (detail::lane_strang_step): exact-logistic reaction half-step,
+        // cached Crank–Nicolson diffusion solve, second reaction
+        // half-step, fused into one forward and one backward pass.
         sampler.integrals_over(t, t + 0.5 * h, r_int);
         sampler.integrals_over(t + 0.5 * h, t + h, rt);  // second half
         // Matrices were built and factored for options.dt; rebuild for a
@@ -289,9 +276,10 @@ dl_solution detail::solve_profile(const dl_parameters& params,
           build_cn_matrices(n, lambda, ws.cn_lhs, cn_rhs_m);
           ws.cn_factor.factor(ws.cn_lhs);
         }
-        detail::strang_cn_step(n, u.data(), rhs.data(), cn_rhs_m,
-                               ws.cn_factor, sampler.uniform(), r_int.data(),
-                               rt.data(), params.k);
+        detail::lane_strang_step<1>(n, 1, u.data(), rhs.data(),
+                                    ws.lane_scratch.data(), cn_rhs_m,
+                                    ws.cn_factor, sampler.uniform(),
+                                    r_int.data(), rt.data(), params.k);
         break;
       }
       case dl_scheme::implicit_newton: {
@@ -340,15 +328,10 @@ dl_solution detail::solve_profile(const dl_parameters& params,
       }
     }
 
-    const double t_new = t + h;
-    if (t_new + 1e-12 >= next_record || step + 1 == total_steps) {
-      times.push_back(t_new);
-      trace.append_row(u);
-      while (next_record <= t_new + 1e-12) next_record += options.record_dt;
-    }
+    if (rec.due(t + h, step + 1 == total_steps)) rec.append(t + h, u);
   }
 
-  return dl_solution(grid, std::move(times), std::move(trace));
+  return dl_solution(grid, std::move(rec.times), std::move(rec.trace));
 }
 
 dl_solver_options detail::effective_options(const solve_request& request) {

@@ -4,11 +4,11 @@
 // per lane to the scalar path (dl_solver.cpp), and the coupled-community
 // domain solver (dl_domain_solver.cpp) must be bitwise identical to the
 // plain 1-D line at K = 1: every per-node expression — the exact logistic
-// propagator, the Crank–Nicolson matrix entries, the fused Strang–CN
-// sweep, the per-node rate evaluation, the node-count rounding — has to
-// be the same IEEE operation sequence in every translation unit.  Keeping
-// them as shared inline helpers makes that a structural property instead
-// of a copy-paste invariant.
+// propagator, the Crank–Nicolson matrix entries, the lane kernel's fused
+// Strang–CN sweep, the per-node rate evaluation, the node-count rounding —
+// has to be the same IEEE operation sequence in every translation unit.
+// Keeping them as shared inline helpers makes that a structural property
+// instead of a copy-paste invariant.
 //
 // Not part of the public API: include only from src/core solver sources
 // (and white-box tests).
@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/dl_parameters.h"
@@ -172,114 +173,52 @@ class rate_sampler {
   bool uniform_ = false;
 };
 
-/// One fused Strang–CN step over an n-node line, in place on `u` with
-/// `rhs` as elimination scratch (size ≥ n).  Logically: reaction
-/// half-step (react1) — Crank–Nicolson diffusion full step against the
-/// rhs matrix and the cached Thomas factorization of the lhs — reaction
-/// half-step (react2).  The forward pass computes react1 into rolling
-/// registers, forms the CN rhs row from them and eliminates it in place;
-/// the backward pass back-substitutes and applies react2 to each node as
-/// it is finalized.  Every individual expression — logistic propagator,
-/// rhs-row accumulation order, elimination, substitution — is the
-/// unfused form's operation sequence, so results are bitwise identical
-/// to stepping the substeps separately; fusing only removes the extra
-/// sweeps over the grid between them.
-template <class React1, class React2>
-inline void strang_cn_fused_step(std::size_t n, double* u, double* rhs,
-                                 const num::tridiagonal_matrix& rhs_m,
-                                 const num::tridiagonal_factorization& factor,
-                                 React1&& react1, React2&& react2) {
-  const std::vector<double>& dm = rhs_m.diag;
-  const std::vector<double>& lm = rhs_m.lower;
-  const std::vector<double>& um = rhs_m.upper;
-  const std::vector<double>& fl = factor.lower();
-  const std::vector<double>& fp = factor.pivots();
-  const std::vector<double>& fc = factor.c_star();
-  // The recurrence value is carried in a register (`w`) and the reaction
-  // values roll through three registers, so each logistic is computed
-  // exactly once and the serial elimination chain never waits on a
-  // store/reload; the backward pass stores nothing but the finished
-  // state.  Instantiated per reaction flavour so the node loops stay
-  // branch-free.
-  double v_prev;
-  double v_cur = react1(u[0], std::size_t{0});
-  double v_next = react1(u[1], std::size_t{1});
-  double w;
-  {
-    double acc = dm[0] * v_cur;
-    acc += um[0] * v_next;
-    w = acc / fp[0];
-    rhs[0] = w;
-  }
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    v_prev = v_cur;
-    v_cur = v_next;
-    v_next = react1(u[i + 1], i + 1);
-    double acc = dm[i] * v_cur;
-    acc += lm[i - 1] * v_prev;
-    acc += um[i] * v_next;
-    w = (acc - fl[i - 1] * w) / fp[i];
-    rhs[i] = w;
-  }
-  {
-    v_prev = v_cur;
-    v_cur = v_next;
-    double acc = dm[n - 1] * v_cur;
-    acc += lm[n - 2] * v_prev;
-    w = (acc - fl[n - 2] * w) / fp[n - 1];
-  }
-  // Backward pass: back substitution + second reaction half-step.
-  u[n - 1] = react2(w, n - 1);
-  for (std::size_t i = n - 1; i-- > 0;) {
-    w = rhs[i] - fc[i] * w;
-    u[i] = react2(w, i);
-  }
-}
+/// Snapshot recording shared by the solvers: the initial row at t0, then
+/// a row whenever a step crosses the next record_dt multiple (and after
+/// the last step), into buffers reserved for the exact record count.
+struct recorder {
+  std::vector<double> times;
+  trace_storage trace;
+  double next_record;
+  double record_dt;
 
-/// The fused step with the reaction flavour chosen from the rate shape:
-/// one shared exp per substep when the rate is uniform in x, the per-node
-/// exact logistic otherwise.  `r_int` / `rt` are the integrated rates of
-/// the first / second half-step over the n nodes.
-inline void strang_cn_step(std::size_t n, double* u, double* rhs,
-                           const num::tridiagonal_matrix& rhs_m,
-                           const num::tridiagonal_factorization& factor,
-                           bool uniform, const double* r_int, const double* rt,
-                           double kk) {
-  if (uniform) {
-    const double growth1 = std::exp(r_int[0]);
-    const double growth2 = std::exp(rt[0]);
-    strang_cn_fused_step(
-        n, u, rhs, rhs_m, factor,
-        [&](double v, std::size_t) {
-          return logistic_exact_with_growth(v, growth1, kk);
-        },
-        [&](double v, std::size_t) {
-          return logistic_exact_with_growth(v, growth2, kk);
-        });
-  } else {
-    strang_cn_fused_step(
-        n, u, rhs, rhs_m, factor,
-        [&](double v, std::size_t i) {
-          return logistic_exact(v, r_int[i], kk);
-        },
-        [&](double v, std::size_t i) { return logistic_exact(v, rt[i], kk); });
+  recorder(std::size_t total_steps, double t0, double t_end,
+           const dl_solver_options& options, std::span<const double> initial)
+      : trace(initial.size()),
+        next_record(t0 + options.record_dt),
+        record_dt(options.record_dt) {
+    std::size_t max_records = total_steps;
+    if (options.record_dt > 0.0) {
+      const double est = (t_end - t0) / options.record_dt;
+      if (est < static_cast<double>(total_steps))
+        max_records = static_cast<std::size_t>(est) + 1;
+    }
+    times.reserve(max_records + 2);
+    trace.reserve(max_records + 2);
+    times.push_back(t0);
+    trace.append_row(initial);
   }
-}
 
-// ---------------------------------------------------------------------------
+  /// True when the step ending at t_new must be recorded.
+  [[nodiscard]] bool due(double t_new, bool last_step) const {
+    return t_new + 1e-12 >= next_record || last_step;
+  }
+  void append(double t_new, std::span<const double> state) {
+    times.push_back(t_new);
+    trace.append_row(state);
+    while (next_record <= t_new + 1e-12) next_record += record_dt;
+  }
+};
+
 // The lane kernel: W independent tridiagonal solves advanced node by node
-// with the lanes innermost.  A Thomas sweep is a serial chain of divisions;
-// interleaving W chains lets them overlap (and, for contiguous lanes,
-// vectorize) instead of running back to back.  Its callers: the batched
-// solver (W compatible requests, per-lane coefficients), both ADI passes
-// of the 2-D sheet (one lane per grid line, one factorization per axis)
-// and the coupled communities (K lanes sharing one factorization).
-// ---------------------------------------------------------------------------
+// with the lanes innermost, so their serial division chains overlap (and,
+// for contiguous lanes, vectorize).  It runs the line (W = 1), the batch
+// (W requests), both ADI passes (one lane per grid line) and the K
+// communities.
 
 /// Row i of a coefficient array as node i's lanes read it: one value for
 /// every lane (`shared_rows`: a matrix or factorization serving the whole
-/// batch) or `width` per-lane values scattered at [i·width + l]
-/// (`lane_rows`).
+/// batch) or per-lane values scattered at [i·width + l] (`lane_rows`).
 struct shared_rows {
   const double* p;
   [[nodiscard]] double row(std::size_t i) const { return p[i]; }
@@ -302,7 +241,6 @@ template <class Rows>
 struct lane_matrix {
   Rows lower, diag, upper;
 };
-
 inline lane_factor<shared_rows> shared_factor(
     const num::tridiagonal_factorization& f) {
   return {{f.lower().data()}, {f.pivots().data()}, {f.c_star().data()}};
@@ -311,33 +249,22 @@ inline lane_matrix<shared_rows> shared_matrix(const num::tridiagonal_matrix& m) 
   return {{m.lower.data()}, {m.diag.data()}, {m.upper.data()}};
 }
 
-/// The lane_thomas rhs hook for systems whose right-hand side already
-/// sits in x: each lane's value is used as it is.
+/// lane_thomas's rhs hook when x already holds the right-hand side.
 inline constexpr auto rhs_in_place = [](std::size_t) {
   return [](std::size_t, double b) { return b; };
 };
 
-// One node of the sweep across the lanes (lane l at row[l·ls], its
-// recurrence carry at w[l]).  Separate functions so the __restrict
-// qualifiers reach the vectorizer after inlining; WC is the compile-time
-// lane count or 0.  rhs(l, x) yields lane l's right-hand side given the
-// value x currently stored for it.
-template <std::size_t WC, class R, class Rhs>
-inline void lane_forward_first(std::size_t width, std::size_t ls,
-                               double* __restrict row, double* __restrict w,
-                               R pivot, Rhs&& rhs) {
-  for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l) {
-    w[l] = rhs(l, row[l * ls]) / lane_value(pivot, l);
-    row[l * ls] = w[l];
-  }
-}
-template <std::size_t WC, class R, class Rhs>
+// One node across the lanes: lane l at row[l·ls], its recurrence carry at
+// w[l].  Separate functions so the __restrict qualifiers reach the
+// vectorizer after inlining; WC is the compile-time lane count or 0.
+template <std::size_t WC, bool First, class R, class Rhs>
 inline void lane_forward(std::size_t width, std::size_t ls,
                          double* __restrict row, double* __restrict w,
                          R lower, R pivot, Rhs&& rhs) {
   for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l) {
-    w[l] = (rhs(l, row[l * ls]) - lane_value(lower, l) * w[l]) /
-           lane_value(pivot, l);
+    double b = rhs(l, row[l * ls]);
+    if constexpr (!First) b = b - lane_value(lower, l) * w[l];
+    w[l] = b / lane_value(pivot, l);
     row[l * ls] = w[l];
   }
 }
@@ -348,41 +275,6 @@ inline void lane_backward(std::size_t width, std::size_t ls,
   for (std::size_t l = 0; l < (WC == 0 ? width : WC); ++l)
     w[l] = row[l * ls] - lane_value(c_star, l) * w[l];
 }
-
-/// Solves `width` tridiagonal systems of n ≥ 2 unknowns; lane l of node i
-/// is x[i·ns + l·ls].  Contiguous lanes (ls = 1) serve the batch, the
-/// communities and the ADI y-pass; the ADI x-pass reads its grid rows
-/// through a strided lane view (ns = 1, ls = nx).  `w` is `width` doubles
-/// of carry scratch.
-///
-/// Each lane runs tridiagonal_factorization::solve_in_place's operation
-/// sequence exactly — x₀ ← b₀/d'₀, xᵢ ← (bᵢ − lᵢ₋₁·xᵢ₋₁)/d'ᵢ, then
-/// xᵢ ← xᵢ − c*ᵢ·xᵢ₊₁ — so its result is bitwise the scalar solve's.  Two
-/// per-node hooks fuse neighbouring work into the sweeps:
-///  * rhs(i) runs before node i is eliminated and returns the node's
-///    per-lane right-hand side, (l, stored value) → bᵢ (rhs_in_place when
-///    x already holds it; the fused Strang–CN step forms its
-///    Crank–Nicolson rhs here instead);
-///  * post(i, w) receives node i's finished lanes during back
-///    substitution (i = n−1 … 0); x keeps the forward sweep, not the
-///    solution.
-template <std::size_t WC, class Rows, class Rhs, class Post>
-inline void lane_thomas(std::size_t n, std::size_t width, double* x,
-                        std::size_t ns, std::size_t ls, double* w,
-                        const lane_factor<Rows>& f, Rhs&& rhs, Post&& post) {
-  lane_forward_first<WC>(width, ls, x, w, f.pivot.row(0), rhs(std::size_t{0}));
-  for (std::size_t i = 1; i + 1 < n; ++i)
-    lane_forward<WC>(width, ls, x + i * ns, w, f.lower.row(i - 1),
-                     f.pivot.row(i), rhs(i));
-  lane_forward<WC>(width, ls, x + (n - 1) * ns, w, f.lower.row(n - 2),
-                   f.pivot.row(n - 1), rhs(n - 1));
-  post(n - 1, static_cast<const double*>(w));
-  for (std::size_t i = n - 1; i-- > 0;) {
-    lane_backward<WC>(width, ls, x + i * ns, w, f.c_star.row(i));
-    post(i, static_cast<const double*>(w));
-  }
-}
-
 template <std::size_t WC, class React>
 inline void lane_react(std::size_t width, std::size_t i,
                        double* __restrict out, const double* __restrict in,
@@ -391,13 +283,44 @@ inline void lane_react(std::size_t width, std::size_t i,
     out[l] = react(in[l], i, l);
 }
 
-/// strang_cn_fused_step on W contiguous lanes: u holds them node-major
-/// (u[i·W + l]), x is n·W elimination scratch and `scratch` 4·W more (the
-/// carry and three rolling reaction rows).  The first reaction half-step
-/// is evaluated one node ahead of the elimination, node i's rhs is
-/// dm·vᵢ, += lm·vᵢ₋₁, += um·vᵢ₊₁ in the scalar order, and the second
-/// half-step is applied to each node as back substitution finishes it.
-/// react(v, i, l) → double.
+/// Solves `width` tridiagonal systems of n ≥ 2 unknowns; lane l of node i
+/// is x[i·ns + l·ls] (the ADI x-pass reads its grid rows through a strided
+/// view, ns = 1 and ls = nx; everything else has contiguous lanes).  Each
+/// lane runs tridiagonal_factorization::solve_in_place's operation
+/// sequence exactly — x₀ ← b₀/d'₀, xᵢ ← (bᵢ − lᵢ₋₁·xᵢ₋₁)/d'ᵢ, then
+/// xᵢ ← xᵢ − c*ᵢ·xᵢ₊₁ — so its result is bitwise the scalar solve's.
+///  * rhs(i) runs before node i is eliminated and returns node i's
+///    right-hand side as (l, value stored in x) → bᵢ;
+///  * post(i, w) receives node i's finished lanes during back substitution
+///    (i = n−1 … 0); x keeps the forward sweep, not the solution.
+/// The carry lives in registers for a compile-time width and in `w`
+/// (`width` doubles of scratch) otherwise.
+template <std::size_t WC, class Rows, class Rhs, class Post>
+inline void lane_thomas(std::size_t n, std::size_t width, double* x,
+                        std::size_t ns, std::size_t ls, double* w,
+                        const lane_factor<Rows>& f, Rhs&& rhs, Post&& post) {
+  double local[WC == 0 ? 1 : WC];
+  if constexpr (WC != 0) w = local;
+  lane_forward<WC, true>(width, ls, x, w, f.pivot.row(0), f.pivot.row(0),
+                         rhs(std::size_t{0}));
+  for (std::size_t i = 1; i + 1 < n; ++i)
+    lane_forward<WC, false>(width, ls, x + i * ns, w, f.lower.row(i - 1),
+                            f.pivot.row(i), rhs(i));
+  lane_forward<WC, false>(width, ls, x + (n - 1) * ns, w, f.lower.row(n - 2),
+                          f.pivot.row(n - 1), rhs(n - 1));
+  post(n - 1, static_cast<const double*>(w));
+  for (std::size_t i = n - 1; i-- > 0;) {
+    lane_backward<WC>(width, ls, x + i * ns, w, f.c_star.row(i));
+    post(i, static_cast<const double*>(w));
+  }
+}
+
+/// One fused Strang–CN step on W contiguous lanes, u[i·W + l]: react1,
+/// Crank–Nicolson diffusion (rhs matrix m, factorization f), react2, in
+/// two sweeps.  react1 runs one node ahead into three rolling rows, node
+/// i's rhs is dm·vᵢ, += lm·vᵢ₋₁, += um·vᵢ₊₁, and react2 is applied as back
+/// substitution finishes each node — the unfused substeps' operation
+/// sequence throughout.  x is n·W scratch, `scratch` 4·W; react(v, i, l).
 template <std::size_t WC, class Rows, class React1, class React2>
 inline void lane_strang_cn(std::size_t n, std::size_t width, double* u,
                            double* x, double* scratch,
@@ -421,19 +344,59 @@ inline void lane_strang_cn(std::size_t n, std::size_t width, double* u,
         const auto dm = m.diag.row(i);
         const auto lm = m.lower.row(i > 0 ? i - 1 : 0);
         const auto um = m.upper.row(i + 1 < n ? i : 0);
-        const double* p = vp;
-        const double* c = vc;
-        const double* nx = vn;
-        return [=](std::size_t l, double) {
+        return [=, p = vp, c = vc, q = vn](std::size_t l, double) {
           double acc = lane_value(dm, l) * c[l];
           if (i > 0) acc += lane_value(lm, l) * p[l];
-          if (i + 1 < n) acc += lane_value(um, l) * nx[l];
+          if (i + 1 < n) acc += lane_value(um, l) * q[l];
           return acc;
         };
       },
       [&](std::size_t i, const double* w) {
         lane_react<WC>(W, i, u + i * W, w, react2);
       });
+}
+
+/// lane_strang_cn for lanes sharing one operator and one rate profile —
+/// the line (W = 1) and the communities: one exp per substep when the
+/// rate is uniform in x, the per-node exact logistic otherwise.  `r_int`
+/// / `rt` are the first / second half-step's integrated rates per node.
+template <std::size_t WC>
+inline void lane_strang_step(std::size_t n, std::size_t width, double* u,
+                             double* x, double* scratch,
+                             const num::tridiagonal_matrix& rhs_m,
+                             const num::tridiagonal_factorization& factor,
+                             bool uniform, const double* r_int,
+                             const double* rt, double kk) {
+  const auto step = [&](auto&& react1, auto&& react2) {
+    lane_strang_cn<WC>(n, width, u, x, scratch, shared_matrix(rhs_m),
+                       shared_factor(factor), react1, react2);
+  };
+  if (uniform) {
+    const double growth1 = std::exp(r_int[0]);
+    const double growth2 = std::exp(rt[0]);
+    step([&](double v, std::size_t, std::size_t) {
+           return logistic_exact_with_growth(v, growth1, kk);
+         },
+         [&](double v, std::size_t, std::size_t) {
+           return logistic_exact_with_growth(v, growth2, kk);
+         });
+  } else {
+    step([&](double v, std::size_t i, std::size_t) {
+           return logistic_exact(v, r_int[i], kk);
+         },
+         [&](double v, std::size_t i, std::size_t) {
+           return logistic_exact(v, rt[i], kk);
+         });
+  }
+}
+
+/// Calls f.template operator()<W>() with W the first of Widths equal to
+/// `width`, or with W = 0 (the runtime-width kernel) when none is.
+template <std::size_t... Widths, class F>
+inline void dispatch_width(std::size_t width, F&& f) {
+  if (!((width == Widths ? (f.template operator()<Widths>(), true) : false) ||
+        ...))
+    f.template operator()<0>();
 }
 
 /// Non-line domain solvers (dl_domain_solver.cpp): Peaceman–Rachford ADI

@@ -17,6 +17,7 @@ void dl_workspace::prepare(std::size_t n) {
   newton_g.resize(n);
   cn_lhs.resize(n);
   cn_rhs.resize(n);
+  lane_scratch.resize(4);
   rk4.prepare(n);
 }
 

@@ -64,8 +64,7 @@ struct dl_workspace {
   num::tridiagonal_matrix cn_rhs_y;
   num::tridiagonal_factorization cn_factor_y;
 
-  // Carry and rolling rows of the lane kernel on the non-line domains,
-  // sized by those solvers (4·K for communities, max(nx, ny) for grid2d).
+  // Lane-kernel scratch: 4 on the line, resized by the domain solvers.
   std::vector<double> lane_scratch;
 
   // Method-of-lines RK4 stage buffers.
