@@ -241,6 +241,10 @@ dl_solution solve_dl_communities(const dl_parameters& params,
   const std::size_t total_steps = static_cast<std::size_t>(
       std::ceil((t_end - t0) / options.dt - 1e-12));
   recorder rec(total_steps, t0, t_end, options, phi_samples);
+  const auto to_community_major = [&](std::vector<double>& out) {
+    for (std::size_t c = 0; c < kc; ++c)
+      for (std::size_t i = 0; i < nx; ++i) out[c * nx + i] = u[i * kc + c];
+  };
 
   for (std::size_t step = 0; step < total_steps; ++step) {
     const double t = t0 + static_cast<double>(step) * options.dt;
@@ -257,10 +261,6 @@ dl_solution solve_dl_communities(const dl_parameters& params,
                            params.k);
     });
 
-    const auto to_community_major = [&](std::vector<double>& out) {
-      for (std::size_t c = 0; c < kc; ++c)
-        for (std::size_t i = 0; i < nx; ++i) out[c * nx + i] = u[i * kc + c];
-    };
     if (mixing_on) {
       // Explicit-Euler exchange against the pre-mixing state, so the
       // update is symmetric in community order (and deterministic).  It

@@ -292,7 +292,8 @@ inline void lane_react(std::size_t width, std::size_t i,
 ///  * rhs(i) runs before node i is eliminated and returns node i's
 ///    right-hand side as (l, value stored in x) → bᵢ;
 ///  * post(i, w) receives node i's finished lanes during back substitution
-///    (i = n−1 … 0); x keeps the forward sweep, not the solution.
+///    (i = n−1 … 0); x holds the forward sweep, and post may overwrite
+///    node i of it, which is no longer read.
 /// The carry lives in registers for a compile-time width and in `w`
 /// (`width` doubles of scratch) otherwise.
 template <std::size_t WC, class Rows, class Rhs, class Post>
