@@ -1,9 +1,9 @@
 // Reusable scratch buffers for the DL solver hot path.
 //
-// A single solve needs ~10 heap vectors (state, Laplacian,
-// tridiagonal rhs/scratch, per-node rates and integrated rates, Newton
-// Jacobian and residual, RK4 stages) plus the Crank–Nicolson matrices and
-// their cached Thomas factorization.  A calibration sweep issues hundreds
+// A single solve needs ~10 heap vectors (state, Laplacian, tridiagonal
+// rhs/scratch, per-node rates and integrated rates, Newton Jacobian and
+// residual, RK4 stages) plus the Crank–Nicolson matrices and their cached
+// Thomas factorization.  A calibration sweep issues hundreds
 // of solves back to back — on a handful of pool threads — so reallocating
 // those buffers per solve is pure overhead.  dl_workspace owns all of
 // them: prepare(n) sizes everything once, and a steady-state time step of
@@ -16,9 +16,9 @@
 //    each engine pool worker running calibration probes — reuses buffers
 //    across solves automatically;
 //  * set solve_request::workspace when you want buffer lifetime under
-//    your control: deterministic memory accounting
-//    in tests/benches, or a solver embedded in a custom threading layer
-//    where thread identity is not a useful cache key.
+//    your control: deterministic memory accounting in tests/benches, or
+//    a solver embedded in a custom threading layer where thread identity
+//    is not a useful cache key.
 //
 // Reuse never changes results: a workspace-reusing solve is bitwise
 // identical to a fresh-workspace solve (covered by solver_workspace_test).
