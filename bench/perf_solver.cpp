@@ -45,30 +45,39 @@ core::dl_solver_options options_for(core::dl_scheme scheme,
   return opts;
 }
 
-/// Marginal allocations per extra time step: two warm solves over the
-/// same window and recording grid, one with half the step size.  Any
-/// per-step allocation would show up multiplied by the extra steps.
-double allocs_per_step(const core::dl_parameters& params,
-                       const core::initial_condition& phi,
-                       core::dl_solver_options opts) {
-  core::dl_workspace ws;
-  core::solve_request request{
-      .params = &params, .phi = &phi, .options = opts, .workspace = &ws};
-  (void)solve_dl(request);  // warm the workspace
+/// Marginal allocations per extra time step: two warm runs of
+/// solve(options) over the same window and recording grid, one with half
+/// the step size.  Any per-step allocation would show up multiplied by
+/// the extra steps.
+template <class Solve>
+double marginal_allocs_per_step(core::dl_solver_options opts, Solve&& solve) {
+  solve(opts);  // warm the workspace
   const std::uint64_t before = bench::allocations_now();
-  (void)solve_dl(request);
+  solve(opts);
   const std::uint64_t base = bench::allocations_now() - before;
   const double steps_base = std::ceil(5.0 / opts.dt);
-  request.options.dt *= 0.5;  // same window + records, twice the steps
-  (void)solve_dl(request);
+  opts.dt *= 0.5;  // same window + records, twice the steps
+  solve(opts);
   const std::uint64_t before_fine = bench::allocations_now();
-  (void)solve_dl(request);
+  solve(opts);
   const std::uint64_t fine = bench::allocations_now() - before_fine;
   // Signed: a stray one-off allocation (libc lazy init, arena growth)
   // during either measurement must not wrap the counter.
   return static_cast<double>(static_cast<std::int64_t>(fine) -
                              static_cast<std::int64_t>(base)) /
          steps_base;
+}
+
+/// marginal_allocs_per_step of one solve on a reused dl_workspace.
+double allocs_per_step(const core::dl_parameters& params,
+                       const core::initial_condition& phi,
+                       const core::dl_solver_options& opts) {
+  core::dl_workspace ws;
+  return marginal_allocs_per_step(
+      opts, [&](const core::dl_solver_options& o) {
+        (void)solve_dl(core::solve_request{
+            .params = &params, .phi = &phi, .options = o, .workspace = &ws});
+      });
 }
 
 void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
@@ -106,16 +115,16 @@ BENCHMARK(bm_strang)->Arg(20)->Arg(80)->Arg(320);
 BENCHMARK(bm_newton)->Arg(20)->Arg(80);
 BENCHMARK(bm_rk4)->Arg(20)->Arg(80);
 
-// Batched lockstep Strang–CN: Arg(width) independent scenarios (same
+// Batched lockstep solves: Arg(width) independent scenarios (same
 // grid/dt, per-lane d) advanced over one SoA batch workspace.
 // items_processed counts scenarios, so the report's items/sec column is
 // scenarios/sec directly — width 1 is the scalar baseline (a group of
 // one takes the scalar path inside solve_dl), and the batched-throughput
-// claim is items/sec at width >= 4 vs width 1.
-void bm_batched_strang_cn(benchmark::State& state) {
+// claim is items/sec at width >= 4 vs width 1.  allocs_per_step is the
+// whole batch's, which must stay 0 like a single solve's.
+void bm_batched(benchmark::State& state, core::dl_scheme scheme) {
   const auto width = static_cast<std::size_t>(state.range(0));
-  const core::dl_solver_options opts =
-      options_for(core::dl_scheme::strang_cn, 20);
+  const core::dl_solver_options opts = options_for(scheme, 20);
   std::vector<core::dl_parameters> params;
   params.reserve(width);
   for (std::size_t l = 0; l < width; ++l) {
@@ -128,14 +137,29 @@ void bm_batched_strang_cn(benchmark::State& state) {
   for (std::size_t l = 0; l < width; ++l)
     requests.push_back({.params = &params[l], .phi = &phi, .options = opts});
   core::dl_batch_workspace ws;
+  const double per_step = marginal_allocs_per_step(
+      opts, [&](const core::dl_solver_options& o) {
+        std::vector<core::solve_request> probe = requests;
+        for (core::solve_request& r : probe) r.options = o;
+        (void)core::solve_dl(probe, ws);
+      });
   for (auto _ : state) {
     const std::vector<core::dl_solution> sols = core::solve_dl(requests, ws);
     benchmark::DoNotOptimize(sols.back().states().back().data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(width));
+  state.counters["allocs_per_step"] = per_step;
+}
+
+void bm_batched_strang_cn(benchmark::State& s) {
+  bm_batched(s, core::dl_scheme::strang_cn);
+}
+void bm_batched_implicit_newton(benchmark::State& s) {
+  bm_batched(s, core::dl_scheme::implicit_newton);
 }
 BENCHMARK(bm_batched_strang_cn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(bm_batched_implicit_newton)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // 2-D ADI sheet solve (core::domain::grid): Arg is points_per_unit on
 // the distance axis; the interest axis spans [1, 5] at the same

@@ -1,12 +1,16 @@
 // Batched DL solver: advances a span of solve_requests in lockstep.
 //
-// Compatible requests — same scheme, grid, dt, record cadence and time
-// window — form a group whose W lanes share one time loop over the
-// structure-of-arrays dl_batch_workspace (u[node*W + lane]).  The per-node
-// inner loops then run over W contiguous lanes: the Strang–CN step is the
-// shared lane kernel (detail::lane_strang_cn), whose W interleaved Thomas
-// chains overlap their divisions, and the reaction substeps vectorize
-// across lanes.
+// Compatible requests — same scheme, grid, dt, record cadence, time
+// window and, for implicit_newton, stopping rule — form a group whose W
+// lanes share one time loop over the structure-of-arrays
+// dl_batch_workspace (u[node*W + lane]).  The per-node inner loops then
+// run over W contiguous lanes: the Strang–CN and
+// implicit-Newton steps are the shared lane kernels
+// (detail::lane_strang_cn, detail::lane_newton_step), whose W interleaved
+// Thomas chains overlap their divisions, and the reaction substeps
+// vectorize across lanes.  Newton lanes iterate in lockstep until each
+// has converged; a converged lane keeps its iterate while the others go
+// on.
 //
 // Bitwise identity with the scalar path is the load-bearing contract
 // (engine::solve_cache keys, golden fits and CSV output must not depend
@@ -19,10 +23,9 @@
 // verbatim.  Reordering lanes, changing W, or re-running with a reused
 // workspace cannot change a single bit of any lane (solver_batch_test).
 //
-// Not batched (solved per-request on the scalar path instead): the
-// implicit_newton scheme (data-dependent Newton iteration counts defeat
-// lockstep), requests carrying their own dl_workspace (the caller asked
-// for exactly those buffers), and groups of one.
+// Not batched (solved per-request on the scalar path instead): requests
+// carrying their own dl_workspace (the caller asked for exactly those
+// buffers), non-line domains, and groups of one.
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
@@ -44,7 +47,7 @@ namespace {
 /// Everything that must match for two requests to share a lockstep time
 /// loop.  The diffusion coefficient d is deliberately absent: lanes with
 /// different d share the loop and get per-lane Crank–Nicolson
-/// factorizations from the workspace cache.
+/// factorizations from the workspace cache (and per-lane Jacobians).
 struct group_key {
   dl_scheme scheme = dl_scheme::strang_cn;
   std::size_t n = 0;  ///< grid node count
@@ -54,6 +57,8 @@ struct group_key {
   double record_dt = 0.0;  ///< effective (inf for final_state output)
   double t0 = 0.0;
   double t_end = 0.0;
+  int newton_max_iter = 0;  ///< implicit_newton only; 0 for other schemes
+  double newton_tol = 0.0;  ///< implicit_newton only; 0 for other schemes
 
   bool operator==(const group_key&) const = default;
 };
@@ -61,14 +66,19 @@ struct group_key {
 group_key key_of(const solve_request& request) {
   request.params->validate();
   const dl_solver_options options = detail::effective_options(request);
-  return {options.scheme,
-          detail::node_count(*request.params, options),
-          request.params->x_min,
-          request.params->x_max,
-          options.dt,
-          options.record_dt,
-          request.t0,
-          request.t_end};
+  group_key key{options.scheme,
+                detail::node_count(*request.params, options),
+                request.params->x_min,
+                request.params->x_max,
+                options.dt,
+                options.record_dt,
+                request.t0,
+                request.t_end};
+  if (options.scheme == dl_scheme::implicit_newton) {
+    key.newton_max_iter = options.newton_max_iter;
+    key.newton_tol = options.newton_tol;
+  }
+  return key;
 }
 
 /// Mirrors the scalar path's workspace_guard for the batch workspace.
@@ -312,6 +322,22 @@ void solve_group(std::span<const solve_request> requests,
     }
   };
 
+  // Backward Euler by lockstep Newton: the scalar scheme's rates at
+  // t + h, turned node-major for the lane kernel.
+  const auto step_newton = [&](double t, double h) {
+    for (std::size_t l = 0; l < W; ++l)
+      rates_lane(l, t + h, lane_row(bws.rt_rows, l));
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t l = 0; l < W; ++l)
+        bws.rt_nodes[i * W + l] = bws.rt_rows[l * n + i];
+    detail::lane_newton_step<WC>(
+        n, W, bws.u.data(), bws.u_next.data(), bws.rhs.data(),
+        bws.newton_c.data(), bws.lane_scratch.data(), bws.rt_nodes.data(),
+        bws.lane_d.data(), bws.lane_k.data(), h, dx, key.newton_tol,
+        key.newton_max_iter);
+    bws.u.swap(bws.u_next);
+  };
+
   // Method of lines: num::rk4_step's stage expressions element-wise over
   // the SoA state, with the scalar reaction term per lane.
   const auto reaction = [&](double ts, const double* __restrict y,
@@ -389,7 +415,8 @@ void solve_group(std::span<const solve_request> requests,
         step_rk4(t, h);
         break;
       case dl_scheme::implicit_newton:
-        break;  // never batched; routed to the scalar path by the caller
+        step_newton(t, h);
+        break;
     }
     const double t_new = t + h;
     if (t_new + 1e-12 >= next_record || step + 1 == total_steps) {
@@ -423,9 +450,7 @@ std::vector<dl_solution> solve_dl(std::span<const solve_request> requests,
     const solve_request& request = requests[i];
     if (request.params == nullptr)
       throw std::invalid_argument("solve_dl: request has no parameters");
-    if (request.workspace != nullptr ||
-        request.options.scheme == dl_scheme::implicit_newton ||
-        !request.params->dom.is_line()) {
+    if (request.workspace != nullptr || !request.params->dom.is_line()) {
       // Non-line domains (2-D ADI, coupled communities) have their own
       // stepping loops; they run scalar rather than in SoA lockstep.
       scalar_lanes.push_back(i);

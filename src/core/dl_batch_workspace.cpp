@@ -1,5 +1,7 @@
 #include "core/dl_batch_workspace.h"
 
+#include "core/dl_solver_internal.h"
+
 namespace dlm::core {
 
 void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
@@ -32,6 +34,12 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
     cn_fc.resize(off);
     growth1.resize(width);
     growth2.resize(width);
+  }
+  if (scheme == dl_scheme::implicit_newton) {
+    u_next.resize(soa);
+    newton_c.resize(soa);
+    rt_nodes.resize(soa);
+    lane_scratch.resize(detail::lane_newton_rows * width);
   }
   if (scheme == dl_scheme::mol_rk4) {
     u_next.resize(soa);

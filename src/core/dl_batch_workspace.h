@@ -10,15 +10,18 @@
 //
 // Layouts at a glance (n nodes, W lanes):
 //
-//  * SoA state / rhs / Laplacian / RK4 stages: n·W, index [i*W + l];
+//  * SoA state / rhs / Laplacian / RK4 stages / Newton c*: n·W, index
+//    [i*W + l];
 //  * Crank–Nicolson coefficients, scattered per lane from each lane's
 //    scalar factorization: diag-shaped n·W, off-diag-shaped (n−1)·W;
 //  * rate rows: lane-major W·n, index [l*n + i] — rate_field::profile
 //    writes one contiguous per-lane span, so rates are evaluated
 //    lane-major and read strided (or hoisted to one growth per lane for
-//    x-uniform fields, the common calibration case);
-//  * per-lane scalars (d, K, growth factors): W; the lane kernel's carry
-//    and rolling reaction rows: 4·W.
+//    x-uniform fields, the common calibration case); the Newton step
+//    reads them transposed node-major;
+//  * per-lane scalars (d, K, growth factors): W; the Strang–CN kernel's
+//    carry and rolling reaction rows: 4·W; the Newton kernel's per-lane
+//    rows at a runtime width: detail::lane_newton_rows·W.
 //
 // The Crank–Nicolson cache holds one rhs-matrix + Thomas factorization
 // per *distinct* λ = d·dt/dx² in the group, so lanes probing the same
@@ -42,9 +45,14 @@ namespace dlm::core {
 struct dl_batch_workspace {
   // SoA state, size n·W.
   std::vector<double> u;       ///< current solution, all lanes
-  std::vector<double> u_next;  ///< RK4 next-step state
+  std::vector<double> u_next;  ///< RK4 / Newton next-step state
   std::vector<double> lap;     ///< discrete Laplacian, all lanes
   std::vector<double> rhs;     ///< interleaved Thomas right-hand sides
+
+  // Implicit-Newton buffers, size n·W: the Jacobian elimination's c*
+  // (the update goes to rhs) and r(x_i, t) node-major.
+  std::vector<double> newton_c;
+  std::vector<double> rt_nodes;
 
   // Crank–Nicolson coefficients scattered per lane (strang_cn only):
   // rhs-matrix diagonals and the cached elimination of the lane's lhs.
@@ -63,7 +71,7 @@ struct dl_batch_workspace {
   std::vector<double> lane_k;   ///< carrying capacity K
   std::vector<double> growth1;  ///< e^∫r, first logistic half-step
   std::vector<double> growth2;  ///< e^∫r, second logistic half-step
-  std::vector<double> lane_scratch;         ///< lane kernel scratch, 4·W
+  std::vector<double> lane_scratch;         ///< lane kernel scratch
   std::vector<std::uint8_t> lane_factored;  ///< separable-form rate?
   std::vector<std::uint8_t> lane_uniform;   ///< x-constant rate?
 
@@ -88,8 +96,7 @@ struct dl_batch_workspace {
   num::tridiagonal_matrix cn_lhs;  ///< build scratch for cache entries
 
   /// Scalar workspace for the lanes the batch path hands back to the
-  /// scalar solver: implicit_newton groups (data-dependent Newton
-  /// iteration counts defeat lockstep), groups of one, and requests
+  /// scalar solver: groups of one, non-line domains, and requests
   /// carrying their own dl_workspace.
   dl_workspace scalar;
 

@@ -205,7 +205,6 @@ dl_solution detail::solve_profile(const dl_parameters& params,
   std::vector<double>& u_next = ws.u_next;
   std::vector<double>& lap = ws.lap;
   std::vector<double>& rhs = ws.rhs;
-  std::vector<double>& scratch = ws.scratch;
   u.assign(phi_samples.begin(), phi_samples.end());
 
   // Per-node growth rates.  For separable-form fields — every r(t)-only
@@ -283,41 +282,14 @@ dl_solution detail::solve_profile(const dl_parameters& params,
         break;
       }
       case dl_scheme::implicit_newton: {
-        // Backward Euler: solve u_next - u - h*(d*A u_next + f(u_next)) = 0.
-        const double t_next = t + h;
-        sampler.rates_at(t_next, rt);
-        u_next = u;  // warm start
-        num::tridiagonal_matrix& jac = ws.jac;
-        std::vector<double>& g = ws.newton_g;
-        bool converged = false;
-        for (int it = 0; it < options.newton_max_iter; ++it) {
-          neumann_laplacian(u_next, dx, lap);
-          double g_norm = 0.0;
-          for (std::size_t i = 0; i < n; ++i) {
-            g[i] = u_next[i] - u[i] -
-                   h * (params.d * lap[i] +
-                        rt[i] * u_next[i] * (1.0 - u_next[i] / params.k));
-            g_norm = std::max(g_norm, std::abs(g[i]));
-          }
-          if (g_norm <= options.newton_tol) {
-            converged = true;
-            break;
-          }
-          // Jacobian: I − h·(d·A + diag(r·(1 − 2u/K))).
-          const double mu = h * params.d / (dx * dx);
-          for (std::size_t i = 0; i < n; ++i) {
-            jac.diag[i] = 1.0 + 2.0 * mu -
-                          h * rt[i] * (1.0 - 2.0 * u_next[i] / params.k);
-            if (i + 1 < n) jac.upper[i] = -mu * (i == 0 ? 2.0 : 1.0);
-            if (i > 0) jac.lower[i - 1] = -mu * (i + 1 == n ? 2.0 : 1.0);
-          }
-          num::solve_tridiagonal_in_place(jac, g, scratch);
-          for (std::size_t i = 0; i < n; ++i) u_next[i] -= g[i];
-        }
-        if (!converged) {
-          // Accept the last iterate; the step size is small enough in
-          // practice that Newton stalls only at negligible residuals.
-        }
+        // Backward Euler solved by Newton's method on the single-lane
+        // kernel (detail::lane_newton_step); an iterate that has not
+        // converged after newton_max_iter iterations is accepted.
+        sampler.rates_at(t + h, rt);
+        detail::lane_newton_step<1>(
+            n, 1, u.data(), u_next.data(), rhs.data(), ws.newton_c.data(),
+            ws.lane_scratch.data(), rt.data(), &params.d, &params.k, h, dx,
+            options.newton_tol, options.newton_max_iter);
         u.swap(u_next);
         break;
       }

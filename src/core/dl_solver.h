@@ -186,12 +186,13 @@ struct solve_request {
 /// Solves a span of requests, returning one solution per request in
 /// request order.  Requests sharing a scheme, grid, dt, record cadence
 /// and time window are grouped (index-stably, by first occurrence) and
-/// advanced in lockstep over a structure-of-arrays batch workspace — the
-/// ftcs / strang_cn / mol_rk4 schemes vectorize across lanes, and each
-/// distinct diffusion coefficient's Crank–Nicolson factorization is
-/// shared within the group.  Everything else (implicit_newton, explicit
-/// per-request workspaces, groups of one) falls back to the scalar path.
-/// Per-request results are bitwise identical either way.
+/// advanced in lockstep over a structure-of-arrays batch workspace — every
+/// scheme vectorizes across lanes, each distinct diffusion coefficient's
+/// Crank–Nicolson factorization is shared within the group, and
+/// implicit_newton lanes (grouped by newton_tol and newton_max_iter too)
+/// iterate until each has converged.  Everything else (explicit
+/// per-request workspaces, non-line domains, groups of one) falls back to
+/// the scalar path.  Per-request results are bitwise identical either way.
 ///
 /// Any invalid request throws the same exception its scalar solve would;
 /// the span overload gives no partial results.

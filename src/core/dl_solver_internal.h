@@ -5,8 +5,9 @@
 // domain solver (dl_domain_solver.cpp) must be bitwise identical to the
 // plain 1-D line at K = 1: every per-node expression — the exact logistic
 // propagator, the Crank–Nicolson matrix entries, the lane kernel's fused
-// Strang–CN sweep, the per-node rate evaluation, the node-count rounding —
-// has to be the same IEEE operation sequence in every translation unit.
+// Strang–CN sweep and Newton step, the per-node rate evaluation, the
+// node-count rounding — has to be the same IEEE operation sequence in
+// every translation unit.
 // Keeping them as shared inline helpers makes that a structural property
 // instead of a copy-paste invariant.
 //
@@ -14,8 +15,10 @@
 // (and white-box tests).
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -214,7 +217,8 @@ struct recorder {
 // with the lanes innermost, so their serial division chains overlap (and,
 // for contiguous lanes, vectorize).  It runs the line (W = 1), the batch
 // (W requests), both ADI passes (one lane per grid line) and the K
-// communities.
+// communities; its Newton step runs the line's and the batch's
+// implicit_newton lanes.
 
 /// Row i of a coefficient array as node i's lanes read it: one value for
 /// every lane (`shared_rows`: a matrix or factorization serving the whole
@@ -388,6 +392,171 @@ inline void lane_strang_step(std::size_t n, std::size_t width, double* u,
          [&](double v, std::size_t i, std::size_t) {
            return logistic_exact(v, rt[i], kk);
          });
+  }
+}
+
+// Lockstep Newton: one backward-Euler step, v − u − h·(d·A·v +
+// r·v·(1 − v/K)) = 0 for the new state v, on W contiguous lanes.  The
+// lanes keep W doubles per row below: a local array for a compile-time
+// width, caller scratch otherwise.
+enum lane_newton_row : std::size_t {
+  nw_d,       ///< diffusion coefficient d
+  nw_k,       ///< carrying capacity K
+  nw_diag,    ///< 1 + 2·mu (mu = h·d/dx²): the Jacobian diagonal's base
+  nw_off1,    ///< −mu·1: the interior off-diagonals
+  nw_off2,    ///< −mu·2: the mirror-ghost boundary off-diagonals
+  nw_norm,    ///< the iteration's max |residual|
+  nw_pivot,   ///< the iteration's min |pivot| (0 iff a pivot was zero)
+  nw_c,       ///< carried c*ᵢ₋₁
+  nw_x,       ///< carried xᵢ₋₁ (forward) / xᵢ₊₁ (backward)
+  nw_active,  ///< 1 while the lane iterates, 0 once it has converged
+  lane_newton_rows
+};
+
+// Node i of one Newton iteration across the lanes (Node: 0 first,
+// 1 interior, 2 last).  v, u and r are node i's rows of the iterate, the
+// old state and the rates; v ± W are the iterate's neighbours.  Computes
+// neumann_laplacian's Laplacian, the residual and its max-norm, the
+// Jacobian row I − h·(d·A + diag(r·(1 − 2v/K))), and
+// num::solve_tridiagonal_in_place's elimination of that row: the pivot,
+// c* into c and the forward rhs into x.  The lane loops stay rolled: GCC
+// unrolls a 2- or 4-lane loop completely and then leaves it scalar, but
+// vectorizes it as a loop (at W = 4, 2.5× the single lane's throughput
+// instead of 1.4×).
+template <std::size_t WC, int Node>
+inline void lane_newton_forward(std::size_t width, double h, double inv,
+                                const double* __restrict v,
+                                const double* __restrict u,
+                                const double* __restrict r,
+                                double* __restrict s, double* __restrict c,
+                                double* __restrict x) {
+  const std::size_t W = WC == 0 ? width : WC;
+#pragma GCC unroll 1
+  for (std::size_t l = 0; l < W; ++l) {
+    const double vc = v[l];
+    double lap;
+    if constexpr (Node == 0)
+      lap = 2.0 * ((v + W)[l] - vc) * inv;
+    else if constexpr (Node == 2)
+      lap = 2.0 * ((v - W)[l] - vc) * inv;
+    else
+      lap = ((v - W)[l] - 2.0 * vc + (v + W)[l]) * inv;
+    const double k = s[nw_k * W + l];
+    const double g =
+        vc - u[l] -
+        h * (s[nw_d * W + l] * lap + r[l] * vc * (1.0 - vc / k));
+    s[nw_norm * W + l] = std::max(s[nw_norm * W + l], std::abs(g));
+    const double diag = s[nw_diag * W + l] - h * r[l] * (1.0 - 2.0 * vc / k);
+    double pivot = diag;
+    double b = g;
+    if constexpr (Node != 0) {
+      const double lower = s[(Node == 2 ? nw_off2 : nw_off1) * W + l];
+      pivot = diag - lower * s[nw_c * W + l];
+      b = g - lower * s[nw_x * W + l];
+    }
+    s[nw_pivot * W + l] = std::min(s[nw_pivot * W + l], std::abs(pivot));
+    if constexpr (Node != 2) {
+      const double upper = s[(Node == 0 ? nw_off2 : nw_off1) * W + l];
+      c[l] = upper / pivot;
+      s[nw_c * W + l] = c[l];
+    }
+    x[l] = b / pivot;
+    s[nw_x * W + l] = x[l];
+  }
+}
+
+// Node i of the back substitution, xᵢ ← xᵢ − c*ᵢ·xᵢ₊₁ (just xᵢ at the last
+// node), and the update vᵢ ← vᵢ − xᵢ — skipped, when Masked, for lanes
+// that have converged.
+template <std::size_t WC, bool Last, bool Masked>
+inline void lane_newton_backward(std::size_t width, const double* __restrict c,
+                                 const double* __restrict x,
+                                 double* __restrict v, double* __restrict s) {
+  const std::size_t W = WC == 0 ? width : WC;
+#pragma GCC unroll 1
+  for (std::size_t l = 0; l < W; ++l) {
+    double xi = x[l];
+    if constexpr (!Last) xi = xi - c[l] * s[nw_x * W + l];
+    s[nw_x * W + l] = xi;
+    const double updated = v[l] - xi;
+    v[l] = Masked && s[nw_active * W + l] == 0.0 ? v[l] : updated;
+  }
+}
+
+/// One backward-Euler step on W contiguous lanes, solved by Newton's
+/// method exactly as the scalar scheme solves it, lane by lane.  u is the
+/// old state and v receives the new one, both u[i·W + l]; rt holds
+/// r(x_i, t + h) node-major; d and K are per lane.  The iterate starts at
+/// u, and every iteration is one forward pass over the nodes (Laplacian,
+/// residual and its max-norm, Jacobian row and the Thomas elimination of
+/// num::solve_tridiagonal_in_place, whose c* and forward rhs go to c and
+/// x, n·W each) and, unless every lane has converged, one backward pass
+/// (back substitution and v −= x).  A lane whose max-norm is ≤ tol
+/// converges and keeps its iterate while the others go on; up to
+/// max_iter iterations run, and a lane that never converges keeps its
+/// last iterate.  A zero pivot throws the scalar path's
+/// std::domain_error, but only in a lane still iterating: the others'
+/// eliminations are never used.  `scratch` holds lane_newton_rows·W
+/// doubles for a runtime width.
+template <std::size_t WC>
+inline void lane_newton_step(std::size_t n, std::size_t width, const double* u,
+                             double* v, double* x, double* c, double* scratch,
+                             const double* rt, const double* d, const double* k,
+                             double h, double dx, double tol, int max_iter) {
+  const std::size_t W = WC == 0 ? width : WC;
+  double local[WC == 0 ? 1 : lane_newton_rows * WC];
+  double* s = scratch;
+  if constexpr (WC != 0) s = local;
+  for (std::size_t l = 0; l < W; ++l) {
+    const double mu = h * d[l] / (dx * dx);
+    s[nw_d * W + l] = d[l];
+    s[nw_k * W + l] = k[l];
+    s[nw_diag * W + l] = 1.0 + 2.0 * mu;
+    s[nw_off1 * W + l] = -mu * 1.0;
+    s[nw_off2 * W + l] = -mu * 2.0;
+    s[nw_active * W + l] = 1.0;
+  }
+  std::copy(u, u + n * W, v);
+  const double inv = 1.0 / (dx * dx);
+  for (int it = 0; it < max_iter; ++it) {
+    for (std::size_t l = 0; l < W; ++l) {
+      s[nw_norm * W + l] = 0.0;
+      s[nw_pivot * W + l] = std::numeric_limits<double>::infinity();
+    }
+    lane_newton_forward<WC, 0>(W, h, inv, v, u, rt, s, c, x);
+    for (std::size_t i = 1; i + 1 < n; ++i)
+      lane_newton_forward<WC, 1>(W, h, inv, v + i * W, u + i * W, rt + i * W,
+                                 s, c + i * W, x + i * W);
+    const std::size_t last = (n - 1) * W;
+    lane_newton_forward<WC, 2>(W, h, inv, v + last, u + last, rt + last, s,
+                               c + last, x + last);
+
+    bool any_active = false;
+    bool all_active = true;
+    for (std::size_t l = 0; l < W; ++l) {
+      if (s[nw_active * W + l] != 0.0 && s[nw_norm * W + l] <= tol)
+        s[nw_active * W + l] = 0.0;
+      if (s[nw_active * W + l] == 0.0) {
+        all_active = false;
+        continue;
+      }
+      if (s[nw_pivot * W + l] == 0.0)
+        throw std::domain_error("solve_tridiagonal: zero pivot");
+      any_active = true;
+    }
+    if (!any_active) break;
+
+    const auto backward = [&]<bool Masked>() {
+      lane_newton_backward<WC, true, Masked>(W, c + last, x + last, v + last,
+                                             s);
+      for (std::size_t i = n - 1; i-- > 0;)
+        lane_newton_backward<WC, false, Masked>(W, c + i * W, x + i * W,
+                                                v + i * W, s);
+    };
+    if (all_active)
+      backward.template operator()<false>();
+    else
+      backward.template operator()<true>();
   }
 }
 

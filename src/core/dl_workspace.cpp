@@ -7,14 +7,12 @@ void dl_workspace::prepare(std::size_t n) {
   u_next.resize(n);
   lap.resize(n);
   rhs.resize(n);
-  scratch.resize(n);
   node_x.resize(n);
   mod.resize(n);
   rt.resize(n);
   r_int.resize(n);
   rt_react.resize(n);
-  jac.resize(n);
-  newton_g.resize(n);
+  newton_c.resize(n);
   cn_lhs.resize(n);
   cn_rhs.resize(n);
   lane_scratch.resize(4);

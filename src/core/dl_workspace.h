@@ -1,13 +1,13 @@
 // Reusable scratch buffers for the DL solver hot path.
 //
 // A single solve needs ~10 heap vectors (state, Laplacian, tridiagonal
-// rhs/scratch, per-node rates and integrated rates, Newton Jacobian and
-// residual, RK4 stages) plus the Crank–Nicolson matrices and their cached
-// Thomas factorization.  A calibration sweep issues hundreds
-// of solves back to back — on a handful of pool threads — so reallocating
-// those buffers per solve is pure overhead.  dl_workspace owns all of
-// them: prepare(n) sizes everything once, and a steady-state time step of
-// any of the four schemes then performs zero heap allocations.
+// rhs, per-node rates and integrated rates, the Newton Jacobian's c*, RK4
+// stages) plus the Crank–Nicolson matrices and their cached Thomas
+// factorization.  A calibration sweep issues hundreds of solves back to
+// back — on a handful of pool threads — so reallocating those buffers per
+// solve is pure overhead.  dl_workspace owns all of them: prepare(n)
+// sizes everything once, and a steady-state time step of any of the four
+// schemes then performs zero heap allocations.
 //
 // Two ways to get one:
 //
@@ -38,7 +38,6 @@ struct dl_workspace {
   std::vector<double> u_next;  ///< next-step / Newton iterate
   std::vector<double> lap;     ///< discrete Laplacian
   std::vector<double> rhs;     ///< tridiagonal right-hand side
-  std::vector<double> scratch; ///< Thomas-elimination scratch
 
   // Growth-rate plumbing (size n; rate_scratch sized per rate family).
   std::vector<double> node_x;        ///< grid node coordinates
@@ -48,9 +47,10 @@ struct dl_workspace {
   std::vector<double> rt_react;      ///< rates inside the MOL reaction term
   std::vector<double> rate_scratch;  ///< per-group family's group table
 
-  // Implicit-Newton scheme.
-  num::tridiagonal_matrix jac;   ///< Jacobian, rebuilt per iteration
-  std::vector<double> newton_g;  ///< Newton residual
+  // Implicit-Newton scheme: c* of the Jacobian's Thomas elimination,
+  // redone every iteration (detail::lane_newton_step; the residual and
+  // update go to rhs).
+  std::vector<double> newton_c;
 
   // Strang–CN scheme: matrices built once per run, LHS factored once.
   num::tridiagonal_matrix cn_lhs;

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 #include <random>
+#include <stdexcept>
 #include <vector>
 
 #include "core/dl_batch_workspace.h"
@@ -62,6 +63,26 @@ dl_parameters params_for(int family, std::size_t lane) {
   return params;
 }
 
+bool bitwise_equal(const dl_solution& a, const dl_solution& b) {
+  const std::vector<double>& da = a.states().data();
+  const std::vector<double>& db = b.states().data();
+  return a.times() == b.times() && da.size() == db.size() &&
+         std::memcmp(da.data(), db.data(), da.size() * sizeof(double)) == 0;
+}
+
+/// The most Newton updates any step of `request` takes: the smallest
+/// newton_max_iter whose trace is bitwise the uncapped solve's (one cap
+/// fewer leaves some step short of its last update).
+int newton_updates(solve_request request) {
+  const dl_solution full = solve_dl(request);
+  const int max_iter = request.options.newton_max_iter;
+  for (int cap = 1; cap < max_iter; ++cap) {
+    request.options.newton_max_iter = cap;
+    if (bitwise_equal(solve_dl(request), full)) return cap;
+  }
+  return max_iter;
+}
+
 void expect_bitwise_equal(const dl_solution& a, const dl_solution& b,
                           const std::string& what) {
   ASSERT_EQ(a.times().size(), b.times().size()) << what;
@@ -76,40 +97,81 @@ void expect_bitwise_equal(const dl_solution& a, const dl_solution& b,
       << what << ": states differ";
 }
 
-TEST(SolverBatch, BitwiseEqualAcrossSchemesFamiliesAndWidths) {
-  const initial_condition phi(observed);
-  // Widths bracketing the SIMD width: singleton, ragged, exact, one over.
-  for (std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
-                            std::size_t{5}}) {
-    for (dl_scheme scheme : {dl_scheme::ftcs, dl_scheme::strang_cn,
-                             dl_scheme::implicit_newton, dl_scheme::mol_rk4}) {
-      for (int family = 0; family < 4; ++family) {
-        std::vector<dl_parameters> params;
-        params.reserve(width);
-        for (std::size_t l = 0; l < width; ++l)
-          params.push_back(params_for(family, l));
-        std::vector<solve_request> requests;
-        requests.reserve(width);
-        for (std::size_t l = 0; l < width; ++l)
-          requests.push_back({.params = &params[l],
-                              .phi = &phi,
-                              .t0 = 1.0,
-                              .t_end = 6.0,
-                              .options = options_for(scheme)});
+/// Inputs on top of the plain lanes, each a way lockstep Newton lanes
+/// could drift from their own single-lane solves.
+enum class lane_input {
+  plain,
+  spread,         ///< odd lanes: d and r ten times the even lanes'
+  one_iteration,  ///< newton_max_iter = 1: no lane's last iterate converged
+  trailing_step,  ///< the window ends on a short last step
+};
 
-        const std::vector<dl_solution> batched = solve_dl(requests);
-        ASSERT_EQ(batched.size(), width);
-        for (std::size_t l = 0; l < width; ++l) {
-          const dl_solution scalar = solve_dl(requests[l]);
-          expect_bitwise_equal(
-              batched[l], scalar,
-              to_string(scheme) + " family=" + std::to_string(family) +
-                  " width=" + std::to_string(width) +
-                  " lane=" + std::to_string(l));
-        }
-      }
+/// Solves `width` lanes of one rate family together and checks every
+/// lane against its own single-lane solve, bitwise.
+void expect_lanes_match_single_solves(dl_scheme scheme, lane_input input,
+                                      int family, std::size_t width) {
+  const initial_condition phi(observed);
+  std::vector<dl_parameters> params;
+  params.reserve(width);
+  for (std::size_t l = 0; l < width; ++l) {
+    params.push_back(params_for(family, l));
+    if (input == lane_input::spread && l % 2 == 1) {
+      params.back().d *= 10.0;
+      params.back().r = rate_field::custom(
+          [base = rate_for(family)](double x, double t) {
+            return 10.0 * base(x, t);
+          });
     }
   }
+  dl_solver_options opts = options_for(scheme);
+  if (input == lane_input::one_iteration) opts.newton_max_iter = 1;
+  const double t_end = input == lane_input::trailing_step ? 5.99 : 6.0;
+  std::vector<solve_request> requests;
+  requests.reserve(width);
+  for (std::size_t l = 0; l < width; ++l)
+    requests.push_back({.params = &params[l],
+                        .phi = &phi,
+                        .t0 = 1.0,
+                        .t_end = t_end,
+                        .options = opts});
+
+  const std::string what = to_string(scheme) + " input=" +
+                           std::to_string(static_cast<int>(input)) +
+                           " family=" + std::to_string(family) +
+                           " width=" + std::to_string(width);
+  if (input == lane_input::spread && width >= 2) {
+    // The lanes really do converge after different iteration counts:
+    // each lane's most Newton updates per step, found by capping
+    // newton_max_iter on its own solve, differ (2 against 3 here).
+    EXPECT_NE(newton_updates(requests[0]), newton_updates(requests[1]))
+        << what;
+  }
+  const std::vector<dl_solution> batched = solve_dl(requests);
+  ASSERT_EQ(batched.size(), width);
+  for (std::size_t l = 0; l < width; ++l)
+    expect_bitwise_equal(batched[l], solve_dl(requests[l]),
+                         what + " lane=" + std::to_string(l));
+}
+
+TEST(SolverBatch, BitwiseEqualAcrossSchemesFamiliesAndWidths) {
+  // Widths bracketing the SIMD width: singleton, ragged, exact, one over.
+  for (std::size_t width : {std::size_t{1}, std::size_t{3}, std::size_t{4},
+                            std::size_t{5}})
+    for (dl_scheme scheme :
+         {dl_scheme::ftcs, dl_scheme::strang_cn, dl_scheme::mol_rk4})
+      for (int family = 0; family < 4; ++family)
+        expect_lanes_match_single_solves(scheme, lane_input::plain, family,
+                                         width);
+  // Newton lanes iterate until each has converged, so they also run the
+  // batch's other compile-time widths, 2 and 8, and the inputs above.
+  for (std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                            std::size_t{4}, std::size_t{5}, std::size_t{8}})
+    for (lane_input input : {lane_input::plain, lane_input::spread,
+                             lane_input::one_iteration,
+                             lane_input::trailing_step})
+      for (int family = 0; family < 4; ++family)
+        expect_lanes_match_single_solves(dl_scheme::implicit_newton, input,
+                                         family, width);
 }
 
 TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
@@ -135,6 +197,12 @@ TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
                         .options = opts,
                         .workspace = ws});
   };
+  // Newton requests that differ only in newton_tol or newton_max_iter
+  // must not share a group: each lane keeps its own stopping rule.
+  dl_solver_options loose = newton;
+  loose.newton_tol = 1e-4;
+  dl_solver_options capped = newton;
+  capped.newton_max_iter = 1;
   add(0, coarse);
   add(1, fine);
   add(2, coarse);
@@ -142,14 +210,21 @@ TEST(SolverBatch, MixedSpanSplitsIntoCompatibleGroupsIndexStably) {
   add(4, fine);
   add(5, coarse, &pinned);
   add(6, coarse);
+  add(3, loose);
+  add(6, newton);
+  add(3, capped);
 
   const std::vector<dl_solution> batched = solve_dl(requests);
   ASSERT_EQ(batched.size(), requests.size());
+  std::vector<dl_solution> scalar;
   for (std::size_t i = 0; i < requests.size(); ++i) {
-    const dl_solution scalar = solve_dl(requests[i]);
-    expect_bitwise_equal(batched[i], scalar,
+    scalar.push_back(solve_dl(requests[i]));
+    expect_bitwise_equal(batched[i], scalar.back(),
                          "mixed span lane " + std::to_string(i));
   }
+  // The stopping rules do change the result, so sharing one would show.
+  EXPECT_FALSE(bitwise_equal(scalar[3], scalar[7]));
+  EXPECT_FALSE(bitwise_equal(scalar[3], scalar[9]));
 }
 
 TEST(SolverBatch, FinalStateOutputRecordsOnlyEndpointsBitwiseEqual) {
@@ -246,6 +321,44 @@ TEST(SolverBatch, InvalidRequestsThrowLikeTheScalarPath) {
   std::vector<solve_request> no_phi;
   no_phi.push_back({.params = &good});
   EXPECT_THROW((void)solve_dl(no_phi), std::invalid_argument);
+}
+
+TEST(SolverBatch, NewtonZeroPivotThrowsOnlyFromALaneStillIterating) {
+  // At d = 0 and h·r = 1 the Jacobian diagonal 1 + 2·mu − h·r·(1 − 2I/K)
+  // is exactly 0 wherever I = 0.  A lane with I = 0 at x = 1 but not
+  // everywhere has a nonzero residual, so its elimination hits the zero
+  // pivot; an all-zero lane converges first and must never throw.
+  dl_parameters stiff = dl_parameters::paper_hops(6.0);
+  stiff.d = 0.0;
+  stiff.r = growth_rate::constant(4.0);
+  dl_solver_options opts = options_for(dl_scheme::implicit_newton);
+  opts.points_per_unit = 2;
+  opts.dt = 0.25;
+  const std::vector<double> edge_zero{0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
+  const std::vector<double> all_zero(edge_zero.size(), 0.0);
+  const initial_condition phi(observed);
+  dl_parameters normal = dl_parameters::paper_hops(6.0);
+  const auto request = [&](const dl_parameters& p,
+                           std::span<const double> samples) {
+    return solve_request{.params = &p,
+                         .phi = samples.empty() ? &phi : nullptr,
+                         .phi_samples = samples,
+                         .options = opts};
+  };
+  const solve_request failing = request(stiff, edge_zero);
+  const solve_request converged = request(stiff, all_zero);
+  const solve_request other = request(normal, {});
+
+  EXPECT_THROW((void)solve_dl(failing), std::domain_error);
+  const std::vector<solve_request> with_failing{other, failing};
+  EXPECT_THROW((void)solve_dl(with_failing), std::domain_error);
+
+  const std::vector<solve_request> with_converged{converged, other};
+  std::vector<dl_solution> batched;
+  ASSERT_NO_THROW(batched = solve_dl(with_converged));
+  for (std::size_t l = 0; l < batched.size(); ++l)
+    expect_bitwise_equal(batched[l], solve_dl(with_converged[l]),
+                         "zero-pivot lane " + std::to_string(l));
 }
 
 // ---- Engine-level batching ------------------------------------------------
