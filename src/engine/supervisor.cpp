@@ -4,6 +4,9 @@
 #include <string.h>
 #include <sys/wait.h>
 #include <unistd.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 
 #include <cerrno>
 #include <chrono>
@@ -29,15 +32,31 @@ struct worker_state {
   worker_outcome outcome;
 };
 
+/// Forks and execs one attempt.  The worker leads a process group of its
+/// own (pgid = pid), so a kill reaches everything it started; setpgid runs
+/// in both processes so the group exists before either goes on.
 pid_t launch(const worker_command& command, std::size_t attempt) {
+  const pid_t supervisor = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0)
     throw std::runtime_error("supervise: fork failed for " + command.label +
                              ": " + ::strerror(errno));
-  if (pid > 0) return pid;
+  if (pid > 0) {
+    // EACCES once the child has exec'd: its own setpgid already ran.
+    ::setpgid(pid, pid);
+    return pid;
+  }
 
   // Child.  Only async-signal-safe-ish work before exec; on any failure
   // _exit (never return into the parent's stack).
+  ::setpgid(0, 0);
+#if defined(__linux__)
+  // Outside the terminal's process group a Ctrl-C no longer reaches the
+  // worker, so it dies with the supervising thread instead — unless that
+  // thread is already gone, which the parent-pid check catches.
+  ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != supervisor) ::_exit(127);
+#endif
   for (const std::string& pair : command.env) {
     const std::size_t eq = pair.find('=');
     if (eq == std::string::npos) continue;
@@ -68,15 +87,19 @@ std::string describe_wait_status(int status) {
   return "ended with wait status " + std::to_string(status);
 }
 
-/// SIGKILLs a running worker and reaps it (blocking — the kill makes
-/// the wait prompt).
-void kill_and_reap(worker_state& w) {
-  if (w.pid < 0) return;
-  ::kill(w.pid, SIGKILL);
+/// SIGKILLs a worker's process group — the worker and anything it left
+/// running — and reaps the worker (blocking; the kill makes the wait
+/// prompt).  Returns the worker's wait status.  Called on a live worker
+/// or on one that has exited but is not yet reaped: a zombie's pid, and
+/// so its group id, cannot be reused by another process.
+int kill_and_reap(worker_state& w) {
+  if (w.pid < 0) return 0;
+  if (::kill(-w.pid, SIGKILL) != 0) ::kill(w.pid, SIGKILL);
   int status = 0;
   while (::waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
   }
   w.pid = -1;
+  return status;
 }
 
 }  // namespace
@@ -157,11 +180,15 @@ supervision_report supervise(std::span<const worker_command> commands,
         continue;
       }
 
-      int status = 0;
-      const pid_t reaped = ::waitpid(w.pid, &status, WNOHANG);
-      if (reaped == w.pid) {
+      // Poll without reaping, so the exited worker's group can still be
+      // swept by kill_and_reap.
+      siginfo_t info{};
+      const int polled =
+          ::waitid(P_PID, static_cast<id_t>(w.pid), &info,
+                   WEXITED | WNOHANG | WNOWAIT);
+      if (polled == 0 && info.si_pid == w.pid) {
+        const int status = kill_and_reap(w);
         if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-          w.pid = -1;
           w.done = true;
           w.outcome.succeeded = true;
           continue;
@@ -174,10 +201,10 @@ supervision_report supervise(std::span<const worker_command> commands,
         }
         continue;
       }
-      if (reaped < 0 && errno != EINTR && errno != EAGAIN) {
+      if (polled < 0 && errno != EINTR && errno != EAGAIN) {
         // Lost track of the child (should not happen): fail the worker
         // rather than spin forever.
-        if (attempt_failed(w, std::string("waitpid failed: ") +
+        if (attempt_failed(w, std::string("waitid failed: ") +
                                   ::strerror(errno),
                            /*timed_out=*/false) &&
             options.fail_fast) {

@@ -18,7 +18,13 @@
 //    retries takes the rest down: siblings are SIGKILLed and reaped —
 //    no orphans, no zombies; with fail_fast off the survivors run to
 //    completion and the report says exactly who finished, so the caller
-//    can merge the completed subset (dl_shard --allow-partial).
+//    can merge the completed subset (dl_shard --allow-partial);
+//  * every worker leads its own process group, and each attempt ends by
+//    SIGKILLing that group before the worker is reaped, so nothing a
+//    worker started (a `sh -c` child, a background job) outlives its
+//    attempt.  On Linux a worker also dies with the thread that called
+//    supervise() (PR_SET_PDEATHSIG): outside the terminal's process
+//    group a Ctrl-C reaches only the supervisor.
 //
 // Determinism note: supervision changes *scheduling*, never *bytes*.  A
 // worker either completes its shard (whose output is deterministic) or

@@ -8,7 +8,8 @@
 //    rejects with 1-based positions like every other spec parser;
 //  * the supervisor (engine/supervisor.h) names signals, enforces
 //    per-attempt timeouts, retries with the attempt number exported to
-//    the child, and either fail-fasts siblings or lets them finish;
+//    the child, either fail-fasts siblings or lets them finish, and
+//    leaves no process a worker started running;
 //  * a SIGKILLed journaled sweep replays from snapshot + WAL and
 //    re-runs with zero PDE solves — the headline crash-safety claim;
 //  * dl_shard end-to-end (via DLM_SHARD_BIN): an injected worker crash
@@ -274,6 +275,52 @@ TEST(Supervisor, HungWorkerIsKilledByThePerAttemptTimeout) {
             std::string::npos)
       << report.failures()[0].diagnostic;
   EXPECT_LT(elapsed, 10.0) << "the 30 s sleep was waited out";
+}
+
+/// True once `pid` has exited: no such process, or a zombie left for
+/// init to reap.
+bool process_gone(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  if (!stat) return ::kill(pid, 0) != 0;
+  std::string line;
+  std::getline(stat, line);
+  const std::size_t paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size() &&
+         (line[paren + 2] == 'Z' || line[paren + 2] == 'X');
+}
+
+TEST(Supervisor, WorkersBackgroundChildrenDoNotOutliveIt) {
+  // The worker starts a background grandchild, writes its pid, and then
+  // either waits (and is timed out) or fails on its own.  Either way the
+  // attempt must end with the grandchild gone, not only the shell.
+  for (const std::string& then : {std::string("wait"), std::string("exit 3")}) {
+    const std::filesystem::path pid_file = temp_path("grandchild.pid");
+    std::filesystem::remove(pid_file);
+    const std::vector<engine::worker_command> commands = {
+        {"/bin/sh",
+         {"-c", "sleep 30 & echo $! > \"$0\"; " + then, pid_file.string()},
+         {},
+         "worker 0/1"}};
+    engine::supervisor_options options;
+    options.timeout_sec = 0.5;
+    const engine::supervision_report report =
+        engine::supervise(commands, options);
+    ASSERT_EQ(report.failures().size(), 1u) << then;
+    EXPECT_EQ(report.failures()[0].timed_out, then == "wait");
+
+    const pid_t grandchild =
+        static_cast<pid_t>(std::stol(read_file(pid_file)));
+    std::filesystem::remove(pid_file);
+    ASSERT_GT(grandchild, 0) << then;
+    // SIGKILL is delivered asynchronously; allow it a moment to land.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!process_gone(grandchild) &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_TRUE(process_gone(grandchild))
+        << then << ": grandchild " << grandchild << " outlived supervise()";
+  }
 }
 
 TEST(Supervisor, FailFastTerminatesSiblings) {
