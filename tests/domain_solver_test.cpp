@@ -152,7 +152,7 @@ TEST(DomainGrid2d, YUniformSheetMatchesTheLineToTolerance) {
           << "x=" << x << " t=" << t;
 }
 
-/// A strang-cn solve on a non-line domain with an explicit rate field and
+/// A strang-cn solve on a domain spec with an explicit rate field and
 /// window end; otherwise the reference setup above.
 core::dl_solution solve_domain(const std::string& dom,
                                const core::rate_field& rate, double t_end) {
@@ -200,6 +200,28 @@ TEST(DomainGoldens, SheetAndCommunityTracesKeepTheirBits) {
             5803543278961874165ULL);
   EXPECT_EQ(hash_solution(solve_domain("comm:8|mix=0.02", temporal, 6.0)),
             18257350120313923180ULL);
+}
+
+/// One rate per distance group: not separable, so the solver integrates
+/// it node by node through rate_field::integral_profile.
+core::rate_field per_group_rates() {
+  return core::rate_field::per_group(
+      {core::growth_rate::paper_hops(), core::growth_rate::constant(0.4),
+       core::growth_rate::exponential_decay(1.0, 1.2, 0.2),
+       core::growth_rate::constant(0.3), core::growth_rate::paper_interest(),
+       core::growth_rate::constant(0.25)});
+}
+
+TEST(DomainGoldens, LineSpatialRateTracesKeepTheirBits) {
+  // The line's per-node reaction path (a rate that varies in x), pinned
+  // on its own: the batch solver is checked against this path, so the
+  // two must not be able to move together unnoticed.
+  EXPECT_EQ(hash_solution(solve_domain("line", spatial_decay(), 6.0)),
+            12943876257779517729ULL);
+  EXPECT_EQ(hash_solution(solve_domain("line", spatial_decay(), 5.99)),
+            11958549553164518116ULL);
+  EXPECT_EQ(hash_solution(solve_domain("line", per_group_rates(), 6.0)),
+            9605994866880897921ULL);
 }
 
 TEST(DomainCommunities, MixingConservesBoundedMassAndCouples) {
