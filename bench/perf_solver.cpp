@@ -27,6 +27,7 @@
 #include "core/dl_model.h"
 #include "core/dl_solver.h"
 #include "core/dl_workspace.h"
+#include "core/rate_field.h"
 #include "numerics/cubic_spline.h"
 #include "numerics/tridiagonal.h"
 
@@ -80,11 +81,11 @@ double allocs_per_step(const core::dl_parameters& params,
       });
 }
 
-void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
-  const core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
+/// Times repeated solves of one request and reports both allocation
+/// counters.
+void time_solve(benchmark::State& state, const core::dl_parameters& params,
+                const core::dl_solver_options& opts) {
   const core::initial_condition phi(observed);
-  const core::dl_solver_options opts =
-      options_for(scheme, static_cast<std::size_t>(state.range(0)));
   const double per_step = allocs_per_step(params, phi, opts);
   const core::solve_request request{
       .params = &params, .phi = &phi, .options = opts};
@@ -97,6 +98,18 @@ void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
       static_cast<double>(bench::allocations_now() - before),
       benchmark::Counter::kAvgIterations);
   state.counters["allocs_per_step"] = per_step;
+}
+
+/// The `_spatial` rows' growth rate: the calibrate-spatial family's
+/// r(x, t) = m(x)·r(t), so each node and substep needs its own exp.
+core::rate_field spatial_rate() {
+  return core::rate_field::separable(core::growth_rate::paper_hops(),
+                                     {1.0, 0.9, 0.8, 0.7, 0.5, 0.4});
+}
+
+void bm_solve_scheme(benchmark::State& state, core::dl_scheme scheme) {
+  time_solve(state, core::dl_parameters::paper_hops(6.0),
+             options_for(scheme, static_cast<std::size_t>(state.range(0))));
 }
 
 void bm_ftcs(benchmark::State& s) { bm_solve_scheme(s, core::dl_scheme::ftcs); }
@@ -121,8 +134,11 @@ BENCHMARK(bm_rk4)->Arg(20)->Arg(80);
 // scenarios/sec directly — width 1 is the scalar baseline (a group of
 // one takes the scalar path inside solve_dl), and the batched-throughput
 // claim is items/sec at width >= 4 vs width 1.  allocs_per_step is the
-// whole batch's, which must stay 0 like a single solve's.
-void bm_batched(benchmark::State& state, core::dl_scheme scheme) {
+// whole batch's, which must stay 0 like a single solve's.  `mixed` gives
+// every other lane spatial_rate(), so the group mixes x-uniform lanes
+// with per-node ones.
+void bm_batched(benchmark::State& state, core::dl_scheme scheme,
+                bool mixed = false) {
   const auto width = static_cast<std::size_t>(state.range(0));
   const core::dl_solver_options opts = options_for(scheme, 20);
   std::vector<core::dl_parameters> params;
@@ -130,6 +146,7 @@ void bm_batched(benchmark::State& state, core::dl_scheme scheme) {
   for (std::size_t l = 0; l < width; ++l) {
     params.push_back(core::dl_parameters::paper_hops(6.0));
     params.back().d *= 1.0 + 0.15 * static_cast<double>(l);
+    if (mixed && l % 2 == 1) params.back().r = spatial_rate();
   }
   const core::initial_condition phi(observed);
   std::vector<core::solve_request> requests;
@@ -155,10 +172,14 @@ void bm_batched(benchmark::State& state, core::dl_scheme scheme) {
 void bm_batched_strang_cn(benchmark::State& s) {
   bm_batched(s, core::dl_scheme::strang_cn);
 }
+void bm_batched_strang_cn_mixed(benchmark::State& s) {
+  bm_batched(s, core::dl_scheme::strang_cn, true);
+}
 void bm_batched_implicit_newton(benchmark::State& s) {
   bm_batched(s, core::dl_scheme::implicit_newton);
 }
 BENCHMARK(bm_batched_strang_cn)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(bm_batched_strang_cn_mixed)->Arg(8);
 BENCHMARK(bm_batched_implicit_newton)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 // 2-D ADI sheet solve (core::domain::grid): Arg is points_per_unit on
@@ -166,58 +187,48 @@ BENCHMARK(bm_batched_implicit_newton)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 // resolution, so Arg(20) steps an 80×121-node sheet.  The per-step
 // contract matches the 1-D schemes: after the workspace warms, a
 // steady-state ADI step (two tridiagonal passes + fused reaction
-// half-steps) allocates nothing.
-void bm_adi_2d_step(benchmark::State& state) {
+// half-steps) allocates nothing.  The `_spatial` row takes
+// spatial_rate(), whose growth factors are one exp per x node.
+void bm_adi(benchmark::State& state, const core::rate_field& rate) {
   core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
+  params.r = rate;
   params.dom = core::domain::grid(1.0, 5.0);
-  const core::initial_condition phi(observed);
-  core::dl_solver_options opts =
-      options_for(core::dl_scheme::strang_cn,
-                  static_cast<std::size_t>(state.range(0)));
-  const double per_step = allocs_per_step(params, phi, opts);
-  const core::solve_request request{
-      .params = &params, .phi = &phi, .options = opts};
-  const std::uint64_t before = bench::allocations_now();
-  for (auto _ : state) {
-    const core::dl_solution sol = solve_dl(request);
-    benchmark::DoNotOptimize(sol.states().back().data());
-  }
-  state.counters["allocs_per_solve"] = benchmark::Counter(
-      static_cast<double>(bench::allocations_now() - before),
-      benchmark::Counter::kAvgIterations);
-  state.counters["allocs_per_step"] = per_step;
+  time_solve(state, params,
+             options_for(core::dl_scheme::strang_cn,
+                         static_cast<std::size_t>(state.range(0))));
 }
+void bm_adi_2d_step(benchmark::State& s) {
+  bm_adi(s, core::growth_rate::paper_hops());
+}
+void bm_adi_2d_step_spatial(benchmark::State& s) { bm_adi(s, spatial_rate()); }
 BENCHMARK(bm_adi_2d_step)->Arg(20)->Arg(40);
+BENCHMARK(bm_adi_2d_step_spatial)->Arg(20);
 
 // Coupled-community sweep (core::domain::coupled): Arg is the community
 // count K, mixing every pair at a uniform rate.  items_processed counts
 // community-lines stepped, so items/sec reads as 1-D-equivalent solves
 // per second; the counters pin the same zero-allocation step contract.
-void bm_coupled_communities(benchmark::State& state) {
+// The `_spatial` rows take spatial_rate(): one exp per node and substep,
+// shared by the K communities.
+void bm_communities(benchmark::State& state, const core::rate_field& rate) {
   const auto k = static_cast<std::size_t>(state.range(0));
   core::dl_parameters params = core::dl_parameters::paper_hops(6.0);
+  params.r = rate;
   params.dom = core::domain::coupled(k, 0.05);
   for (std::size_t c = 0; c < k; ++c)
     params.dom.scales.push_back(1.0 / static_cast<double>(c + 1));
-  const core::initial_condition phi(observed);
-  const core::dl_solver_options opts =
-      options_for(core::dl_scheme::strang_cn, 20);
-  const double per_step = allocs_per_step(params, phi, opts);
-  const core::solve_request request{
-      .params = &params, .phi = &phi, .options = opts};
-  const std::uint64_t before = bench::allocations_now();
-  for (auto _ : state) {
-    const core::dl_solution sol = solve_dl(request);
-    benchmark::DoNotOptimize(sol.states().back().data());
-  }
-  state.counters["allocs_per_solve"] = benchmark::Counter(
-      static_cast<double>(bench::allocations_now() - before),
-      benchmark::Counter::kAvgIterations);
-  state.counters["allocs_per_step"] = per_step;
+  time_solve(state, params, options_for(core::dl_scheme::strang_cn, 20));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(k));
 }
+void bm_coupled_communities(benchmark::State& s) {
+  bm_communities(s, core::growth_rate::paper_hops());
+}
+void bm_coupled_communities_spatial(benchmark::State& s) {
+  bm_communities(s, spatial_rate());
+}
 BENCHMARK(bm_coupled_communities)->Arg(2)->Arg(4)->Arg(8);
+BENCHMARK(bm_coupled_communities_spatial)->Arg(3)->Arg(8);
 
 void bm_spline_build(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

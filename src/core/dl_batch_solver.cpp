@@ -172,22 +172,24 @@ void solve_group(std::span<const solve_request> requests,
       rate.profile(t, bws.node_x, out, bws.rate_scratch);
     }
   };
-  const auto integrals_lane = [&](std::size_t l, double from, double to,
-                                  std::span<double> out) {
+  // The Strang substep's growth factors e^∫r over [from, to]: the scalar
+  // rate_sampler::growth_over per lane — one exp per node, or one into
+  // out[0] for an x-uniform lane, whose nodes all share it.
+  const auto growth_lane = [&](std::size_t l, double from, double to,
+                               std::span<double> out) {
     const rate_field& rate = requests[members[l]].params->r;
     if (bws.lane_uniform[l]) {
-      // x-uniform lanes read only node 0's integrated rate (the Strang
-      // substep hoists one exp from it); filling the other n−1 identical
-      // entries would be pure waste.  Node 0's value is the factored
-      // expression verbatim, so the bits the kernel sees are unchanged.
-      out[0] = bws.mod_rows[l * n] * rate.base().integral(from, to);
-    } else if (bws.lane_factored[l]) {
+      out[0] = std::exp(bws.mod_rows[l * n] * rate.base().integral(from, to));
+      return;
+    }
+    if (bws.lane_factored[l]) {
       const double base = rate.base().integral(from, to);
       const double* mod = bws.mod_rows.data() + l * n;
       for (std::size_t i = 0; i < n; ++i) out[i] = mod[i] * base;
     } else {
       rate.integral_profile(from, to, bws.node_x, out, bws.rate_scratch);
     }
+    for (std::size_t i = 0; i < n; ++i) out[i] = std::exp(out[i]);
   };
 
   // Per-lane Crank–Nicolson coefficients: one elimination per distinct
@@ -264,9 +266,15 @@ void solve_group(std::span<const solve_request> requests,
   };
 
   const auto step_strang = [&](double t, double h) {
+    double* g1 = bws.growth1.data();
+    double* g2 = bws.growth2.data();
     for (std::size_t l = 0; l < W; ++l) {
-      integrals_lane(l, t, t + 0.5 * h, lane_row(bws.rint_rows, l));
-      integrals_lane(l, t + 0.5 * h, t + h, lane_row(bws.rt_rows, l));
+      growth_lane(l, t, t + 0.5 * h, lane_row(bws.growth1_rows, l));
+      growth_lane(l, t + 0.5 * h, t + h, lane_row(bws.growth2_rows, l));
+      // An x-uniform lane's one factor, where the lane loops read it
+      // contiguously.
+      g1[l] = bws.growth1_rows[l * n];
+      g2[l] = bws.growth2_rows[l * n];
     }
     // Coefficients were scattered for key.dt; rebuild for a short
     // trailing step (the scalar path does the same).
@@ -285,17 +293,7 @@ void solve_group(std::span<const solve_request> requests,
     bool all_uniform = true;
     for (std::size_t l = 0; l < W; ++l)
       if (!bws.lane_uniform[l]) all_uniform = false;
-    double* g1 = bws.growth1.data();
-    double* g2 = bws.growth2.data();
     const double* kk = bws.lane_k.data();
-    for (std::size_t l = 0; l < W; ++l) {
-      // One exp per x-uniform lane per substep, exactly the scalar hoist
-      // (node 0's integrated rate is every node's integrated rate).
-      if (bws.lane_uniform[l]) {
-        g1[l] = std::exp(bws.rint_rows[l * n]);
-        g2[l] = std::exp(bws.rt_rows[l * n]);
-      }
-    }
     if (all_uniform) {
       // Branch-free lane loops for the common all-temporal-rate group.
       fused(
@@ -306,18 +304,18 @@ void solve_group(std::span<const solve_request> requests,
             return detail::logistic_exact_with_growth(v, g2[l], kk[l]);
           });
     } else {
+      // Mixed uniformity: each lane selects its shared or per-node factor.
+      const std::uint8_t* uniform = bws.lane_uniform.data();
+      const double* rows1 = bws.growth1_rows.data();
+      const double* rows2 = bws.growth2_rows.data();
       fused(
           [&](double v, std::size_t i, std::size_t l) {
-            return bws.lane_uniform[l]
-                       ? detail::logistic_exact_with_growth(v, g1[l], kk[l])
-                       : detail::logistic_exact(v, bws.rint_rows[l * n + i],
-                                                kk[l]);
+            return detail::logistic_exact_with_growth(
+                v, uniform[l] ? g1[l] : rows1[l * n + i], kk[l]);
           },
           [&](double v, std::size_t i, std::size_t l) {
-            return bws.lane_uniform[l]
-                       ? detail::logistic_exact_with_growth(v, g2[l], kk[l])
-                       : detail::logistic_exact(v, bws.rt_rows[l * n + i],
-                                                kk[l]);
+            return detail::logistic_exact_with_growth(
+                v, uniform[l] ? g2[l] : rows2[l * n + i], kk[l]);
           });
     }
   };

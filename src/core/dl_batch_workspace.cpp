@@ -19,7 +19,6 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
 
   mod_rows.resize(soa);
   rt_rows.resize(soa);
-  rint_rows.resize(soa);
 
   node_x.resize(n);
   row.resize(n);
@@ -34,6 +33,8 @@ void dl_batch_workspace::prepare(std::size_t n, std::size_t width,
     cn_fc.resize(off);
     growth1.resize(width);
     growth2.resize(width);
+    growth1_rows.resize(soa);
+    growth2_rows.resize(soa);
   }
   if (scheme == dl_scheme::implicit_newton) {
     u_next.resize(soa);

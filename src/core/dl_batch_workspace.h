@@ -14,11 +14,12 @@
 //    [i*W + l];
 //  * Crank–Nicolson coefficients, scattered per lane from each lane's
 //    scalar factorization: diag-shaped n·W, off-diag-shaped (n−1)·W;
-//  * rate rows: lane-major W·n, index [l*n + i] — rate_field::profile
-//    writes one contiguous per-lane span, so rates are evaluated
-//    lane-major and read strided (or hoisted to one growth per lane for
-//    x-uniform fields, the common calibration case); the Newton step
-//    reads them transposed node-major;
+//  * rate and growth-factor rows: lane-major W·n, index [l*n + i] —
+//    rate_field::profile writes one contiguous per-lane span, so rates
+//    and their exps are evaluated lane-major and read strided (or hoisted
+//    to one growth factor per lane for x-uniform fields, the common
+//    calibration case); the Newton step reads rates transposed
+//    node-major;
 //  * per-lane scalars (d, K, growth factors): W; the Strang–CN kernel's
 //    carry and rolling reaction rows: 4·W; the Newton kernel's per-lane
 //    rows at a runtime width: detail::lane_newton_rows·W.
@@ -77,8 +78,9 @@ struct dl_batch_workspace {
 
   // Lane-major rate rows, size W·n (row l is lane l's contiguous span).
   std::vector<double> mod_rows;   ///< separable spatial profile m(x_i)
-  std::vector<double> rt_rows;    ///< r(x_i, t) per step / stage
-  std::vector<double> rint_rows;  ///< ∫ r(x_i, s) ds per substep
+  std::vector<double> rt_rows;       ///< r(x_i, t) per step / stage
+  std::vector<double> growth1_rows;  ///< e^∫r, first logistic half-step
+  std::vector<double> growth2_rows;  ///< e^∫r, second logistic half-step
 
   // Shared per-node buffers, size n.
   std::vector<double> node_x;  ///< grid node coordinates

@@ -7,7 +7,7 @@
 //  * grid2d — u(x, y, t) with ∂u/∂t = d(u_xx + u_yy) + r(x, t)u(1 − u/K)
 //    and no-flux boundaries on all four edges, advanced by Strang
 //    splitting around a Peaceman–Rachford ADI diffusion step:
-//        reaction half-step (exact logistic, integrated rate per x node)
+//        reaction half-step (exact logistic, growth factor per x node)
 //        (I − (λx/2)Ax) u*      = (I + (λy/2)Ay) uⁿ    — tridiagonal in x
 //        (I − (λy/2)Ay) u^{n+1} = (I + (λx/2)Ax) u*    — tridiagonal in y
 //        reaction half-step
@@ -93,13 +93,14 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
   u.assign(phi_samples.begin(), phi_samples.end());
 
   // The growth rate lives on the x axis (r(x, t), uniform in y), so rate
-  // buffers span nx nodes, not n.
+  // buffers span nx nodes, not n: one growth factor per x node and
+  // substep, shared by all ny rows.
   for (std::size_t i = 0; i < nx; ++i) ws.node_x[i] = grid.x(i);
   const rate_sampler sampler(
       params.r, std::span<const double>(ws.node_x.data(), nx),
       std::span<double>(ws.mod.data(), nx), ws.rate_scratch);
-  const std::span<double> r_int(ws.r_int.data(), nx);
-  const std::span<double> rt(ws.rt.data(), nx);
+  const std::span<double> g1(ws.growth1.data(), nx);
+  const std::span<double> g2(ws.growth2.data(), nx);
 
   // One tridiagonal operator pair per axis; both LHS factorizations are
   // cached for the whole run (rebuilt only for a short trailing step).
@@ -117,16 +118,17 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
 
   const double kk = params.k;
   /// Exact-logistic reaction half-step of one grid row, `in` → `out`:
-  /// rates[i] is x node i's integrated rate, `growth` its exponential when
-  /// the rate is uniform in x (then shared by every node).
-  const auto react_row = [&](const double* rates, double growth,
-                             const double* in, double* out) {
+  /// growth[i] is x node i's growth factor, or growth[0] every node's when
+  /// the rate is uniform in x.
+  const auto react_row = [&](const double* growth, const double* in,
+                             double* out) {
     if (sampler.uniform()) {
+      const double g = growth[0];
       for (std::size_t i = 0; i < nx; ++i)
-        out[i] = logistic_exact_with_growth(in[i], growth, kk);
+        out[i] = logistic_exact_with_growth(in[i], g, kk);
     } else {
       for (std::size_t i = 0; i < nx; ++i)
-        out[i] = logistic_exact(in[i], rates[i], kk);
+        out[i] = logistic_exact_with_growth(in[i], growth[i], kk);
     }
   };
 
@@ -142,12 +144,10 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
     if (h <= 0.0) break;
     if (h != options.dt) build_operators(h);
 
-    sampler.integrals_over(t, t + 0.5 * h, r_int);
-    sampler.integrals_over(t + 0.5 * h, t + h, rt);
-    const double growth1 = sampler.uniform() ? std::exp(r_int[0]) : 0.0;
-    const double growth2 = sampler.uniform() ? std::exp(rt[0]) : 0.0;
+    sampler.growth_over(t, t + 0.5 * h, g1);
+    sampler.growth_over(t + 0.5 * h, t + h, g2);
     for (std::size_t j = 0; j < ny; ++j)
-      react_row(r_int.data(), growth1, u.data() + j * nx, u.data() + j * nx);
+      react_row(g1.data(), u.data() + j * nx, u.data() + j * nx);
 
     // ADI pass 1: explicit y operator row by row, then every row's
     // implicit x solve at once — ny lanes sharing cn_factor, read through
@@ -180,7 +180,7 @@ dl_solution solve_dl_grid2d(const dl_parameters& params,
     lane_thomas<0>(ny, nx, y_rhs.data(), nx, 1, ws.lane_scratch.data(),
                    shared_factor(ws.cn_factor_y), rhs_in_place,
                    [&](std::size_t j, const double* w) {
-                     react_row(rt.data(), growth2, w, u.data() + j * nx);
+                     react_row(g2.data(), w, u.data() + j * nx);
                    });
 
     if (rec.due(t + h, step + 1 == total_steps)) rec.append(t + h, u);
@@ -216,12 +216,13 @@ dl_solution solve_dl_communities(const dl_parameters& params,
   for (std::size_t c = 0; c < kc; ++c)
     for (std::size_t i = 0; i < nx; ++i) u[i * kc + c] = phi_samples[c * nx + i];
 
+  // One growth factor per node and substep, shared by its K lanes.
   for (std::size_t i = 0; i < nx; ++i) ws.node_x[i] = grid.x(i);
   const rate_sampler sampler(
       params.r, std::span<const double>(ws.node_x.data(), nx),
       std::span<double>(ws.mod.data(), nx), ws.rate_scratch);
-  const std::span<double> r_int(ws.r_int.data(), nx);
-  const std::span<double> rt(ws.rt.data(), nx);
+  const std::span<double> g1(ws.growth1.data(), nx);
+  const std::span<double> g2(ws.growth2.data(), nx);
 
   // One nx-sized Strang–CN operator shared by every community (same d,
   // dx, dt).  For K = 1 this is exactly the line path's matrix build.
@@ -252,13 +253,12 @@ dl_solution solve_dl_communities(const dl_parameters& params,
     if (h <= 0.0) break;
     if (h != options.dt) build_operators(h);
 
-    sampler.integrals_over(t, t + 0.5 * h, r_int);
-    sampler.integrals_over(t + 0.5 * h, t + h, rt);
+    sampler.growth_over(t, t + 0.5 * h, g1);
+    sampler.growth_over(t + 0.5 * h, t + h, g2);
     dispatch_width<1, 2, 3, 4, 8>(kc, [&]<std::size_t KC>() {
       lane_strang_step<KC>(nx, kc, u.data(), ws.rhs.data(),
                            ws.lane_scratch.data(), ws.cn_rhs, ws.cn_factor,
-                           sampler.uniform(), r_int.data(), rt.data(),
-                           params.k);
+                           sampler.uniform(), g1.data(), g2.data(), params.k);
     });
 
     if (mixing_on) {

@@ -216,7 +216,6 @@ dl_solution detail::solve_profile(const dl_parameters& params,
   for (std::size_t i = 0; i < n; ++i) node_x[i] = grid.x(i);
   const rate_sampler sampler(params.r, node_x, ws.mod, ws.rate_scratch);
   std::vector<double>& rt = ws.rt;
-  std::vector<double>& r_int = ws.r_int;
 
   // Pre-built CN matrices for the Strang scheme; the LHS is constant for
   // the whole run, so its Thomas elimination is cached once here instead
@@ -266,8 +265,8 @@ dl_solution detail::solve_profile(const dl_parameters& params,
         // (detail::lane_strang_step): exact-logistic reaction half-step,
         // cached Crank–Nicolson diffusion solve, second reaction
         // half-step, fused into one forward and one backward pass.
-        sampler.integrals_over(t, t + 0.5 * h, r_int);
-        sampler.integrals_over(t + 0.5 * h, t + h, rt);  // second half
+        sampler.growth_over(t, t + 0.5 * h, ws.growth1);
+        sampler.growth_over(t + 0.5 * h, t + h, ws.growth2);
         // Matrices were built and factored for options.dt; rebuild for a
         // short trailing step.
         if (h != options.dt) {
@@ -278,7 +277,8 @@ dl_solution detail::solve_profile(const dl_parameters& params,
         detail::lane_strang_step<1>(n, 1, u.data(), rhs.data(),
                                     ws.lane_scratch.data(), cn_rhs_m,
                                     ws.cn_factor, sampler.uniform(),
-                                    r_int.data(), rt.data(), params.k);
+                                    ws.growth1.data(), ws.growth2.data(),
+                                    params.k);
         break;
       }
       case dl_scheme::implicit_newton: {

@@ -53,21 +53,14 @@ namespace detail {
                                         const dl_solver_options& options,
                                         dl_workspace& ws);
 
-/// Exact logistic propagator: N ← K·N·e^R / (K + N·(e^R − 1)) where R is
-/// the integrated rate over the step.  Maps [0, K] into [0, K] for R ≥ 0.
-inline double logistic_exact(double n, double integrated_rate, double k) {
-  if (n <= 0.0) return n;
-  const double growth = std::exp(integrated_rate);
-  return k * n * growth / (k + n * (growth - 1.0));
-}
-
-/// Same propagator with e^R precomputed — for fields constant in x, every
-/// node shares one integrated rate, so the exp is hoisted out of the node
-/// loop (bitwise identical: exp of the same value is the same value).
-/// Spelled as a select rather than an early return so the batched solver's
-/// W-lane loops stay if-convertible (and therefore vectorizable); for
-/// n ≤ 0 the speculative IEEE division is well-defined and discarded, and
-/// the n > 0 expression is the same operation sequence either way.
+/// Exact logistic propagator: N ← K·N·g / (K + N·(g − 1)) where g = e^R is
+/// the growth factor of the integrated rate R over the step.  Maps [0, K]
+/// into [0, K] for R ≥ 0.  Callers exponentiate once per node and substep
+/// (rate_sampler::growth_over) and share g with every lane reading that
+/// node, so no lane loop calls exp.  Spelled as a select rather than an
+/// early return so the W-lane loops stay if-convertible (and therefore
+/// vectorizable); for n ≤ 0 the speculative IEEE division is well-defined
+/// and discarded.
 inline double logistic_exact_with_growth(double n, double growth, double k) {
   const double propagated = k * n * growth / (k + n * (growth - 1.0));
   return n <= 0.0 ? n : propagated;
@@ -157,14 +150,21 @@ class rate_sampler {
     }
   }
 
-  /// ∫ r(x_i, s) ds over [from, to] for every node into `out`.
-  void integrals_over(double from, double to, std::span<double> out) const {
+  /// The Strang logistic substep's growth factors e^{∫ r(x_i, s) ds} over
+  /// [from, to]: one exp per node into `out`, or, when the rate is uniform
+  /// in x, one exp into out[0], which every node shares.
+  void growth_over(double from, double to, std::span<double> out) const {
+    if (uniform_) {
+      out[0] = std::exp(mod_[0] * rate_.base().integral(from, to));
+      return;
+    }
     if (factored_) {
       const double base = rate_.base().integral(from, to);
       for (std::size_t i = 0; i < node_x_.size(); ++i) out[i] = mod_[i] * base;
     } else {
       rate_.integral_profile(from, to, node_x_, out, scratch_);
     }
+    for (std::size_t i = 0; i < node_x_.size(); ++i) out[i] = std::exp(out[i]);
   }
 
  private:
@@ -362,23 +362,23 @@ inline void lane_strang_cn(std::size_t n, std::size_t width, double* u,
 }
 
 /// lane_strang_cn for lanes sharing one operator and one rate profile —
-/// the line (W = 1) and the communities: one exp per substep when the
-/// rate is uniform in x, the per-node exact logistic otherwise.  `r_int`
-/// / `rt` are the first / second half-step's integrated rates per node.
+/// the line (W = 1) and the communities.  `g1` / `g2` are the first /
+/// second half-step's growth factors (rate_sampler::growth_over): one per
+/// node, read by all of that node's lanes, or only [0] when `uniform`.
 template <std::size_t WC>
 inline void lane_strang_step(std::size_t n, std::size_t width, double* u,
                              double* x, double* scratch,
                              const num::tridiagonal_matrix& rhs_m,
                              const num::tridiagonal_factorization& factor,
-                             bool uniform, const double* r_int,
-                             const double* rt, double kk) {
+                             bool uniform, const double* g1, const double* g2,
+                             double kk) {
   const auto step = [&](auto&& react1, auto&& react2) {
     lane_strang_cn<WC>(n, width, u, x, scratch, shared_matrix(rhs_m),
                        shared_factor(factor), react1, react2);
   };
   if (uniform) {
-    const double growth1 = std::exp(r_int[0]);
-    const double growth2 = std::exp(rt[0]);
+    const double growth1 = g1[0];
+    const double growth2 = g2[0];
     step([&](double v, std::size_t, std::size_t) {
            return logistic_exact_with_growth(v, growth1, kk);
          },
@@ -387,10 +387,10 @@ inline void lane_strang_step(std::size_t n, std::size_t width, double* u,
          });
   } else {
     step([&](double v, std::size_t i, std::size_t) {
-           return logistic_exact(v, r_int[i], kk);
+           return logistic_exact_with_growth(v, g1[i], kk);
          },
          [&](double v, std::size_t i, std::size_t) {
-           return logistic_exact(v, rt[i], kk);
+           return logistic_exact_with_growth(v, g2[i], kk);
          });
   }
 }

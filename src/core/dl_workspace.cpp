@@ -10,7 +10,8 @@ void dl_workspace::prepare(std::size_t n) {
   node_x.resize(n);
   mod.resize(n);
   rt.resize(n);
-  r_int.resize(n);
+  growth1.resize(n);
+  growth2.resize(n);
   rt_react.resize(n);
   newton_c.resize(n);
   cn_lhs.resize(n);

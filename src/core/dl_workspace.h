@@ -1,7 +1,7 @@
 // Reusable scratch buffers for the DL solver hot path.
 //
 // A single solve needs ~10 heap vectors (state, Laplacian, tridiagonal
-// rhs, per-node rates and integrated rates, the Newton Jacobian's c*, RK4
+// rhs, per-node rates and growth factors, the Newton Jacobian's c*, RK4
 // stages) plus the Crank–Nicolson matrices and their cached Thomas
 // factorization.  A calibration sweep issues hundreds of solves back to
 // back — on a handful of pool threads — so reallocating those buffers per
@@ -43,7 +43,8 @@ struct dl_workspace {
   std::vector<double> node_x;        ///< grid node coordinates
   std::vector<double> mod;           ///< separable spatial profile m(x_i)
   std::vector<double> rt;            ///< r(x_i, t) per step
-  std::vector<double> r_int;         ///< ∫ r(x_i, s) ds per substep
+  std::vector<double> growth1;       ///< e^∫r, first logistic half-step
+  std::vector<double> growth2;       ///< e^∫r, second logistic half-step
   std::vector<double> rt_react;      ///< rates inside the MOL reaction term
   std::vector<double> rate_scratch;  ///< per-group family's group table
 

@@ -419,7 +419,8 @@ const std::string& domain_spec_grammar() {
       "  grid2d:<y_min>,<y_max>              2-D distance x interest sheet "
       "(ADI)\n"
       "  comm:<K>                            K uncoupled per-community "
-      "lines\n"
+      "lines, 1 <= K <= " +
+      std::to_string(max_community_count) + "\n"
       "  comm:<K>|mix=<rate>                 uniform cross-community "
       "mixing\n"
       "  comm:<K>|mix=<m11>,...,<mKK>        full K*K mixing matrix "
@@ -460,6 +461,12 @@ core::domain make_domain(const std::string& spec) {
         k == 0)
       bad_domain_spec(
           spec, "bad community count '" + std::string(count_text) + "'", at);
+    if (k > max_community_count)
+      bad_domain_spec(spec,
+                      "community count " + std::string(count_text) +
+                          " exceeds the cap of " +
+                          std::to_string(max_community_count),
+                      at);
     core::domain dom = core::domain::coupled(k);
     // Optional |mix=... / |scale=... segments, in any order.
     std::size_t seg_at = first_bar;

@@ -187,11 +187,18 @@ struct sweep_spec {
 /// "per-hop:...".  Non-spatial specs pass through unchanged.
 [[nodiscard]] std::string spatial_base_spec(const std::string& spec);
 
+/// The largest community count make_domain accepts: `comm:<K>|mix=...`
+/// allocates a K×K mixing matrix, so K comes from outside the program
+/// (a sweep spec, a dl_serve request) and must be bounded before it is
+/// used.  8× the largest K any sweep or bench runs.
+inline constexpr std::size_t max_community_count = 64;
+
 /// Domain spec parser (core::domain, see core/domain.h).  Accepted forms:
 ///   "line" (or "" / "-")           — the classic 1-D distance axis
 ///   "grid2d:<y_min>,<y_max>"       — 2-D distance × interest sheet,
 ///       solved by the Peaceman–Rachford ADI variant of strang-cn
 ///   "comm:<K>"                     — K uncoupled per-community 1-D lines
+///       (1 ≤ K ≤ max_community_count)
 ///   "comm:<K>|mix=<rate>"          — uniform cross-community mixing
 ///   "comm:<K>|mix=<m11>,...,<mKK>" — full K×K mixing matrix (row-major;
 ///       entry (c,c2) is the flow rate from community c2 into c)

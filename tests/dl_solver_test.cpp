@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
+#include "core/dl_solver_internal.h"
 #include "models/heat_model.h"
 #include "models/logistic.h"
 
@@ -255,6 +259,33 @@ TEST(DlScheme, ToStringCoversAll) {
   EXPECT_EQ(to_string(dl_scheme::strang_cn), "strang-cn");
   EXPECT_EQ(to_string(dl_scheme::implicit_newton), "implicit-newton");
   EXPECT_EQ(to_string(dl_scheme::mol_rk4), "mol-rk4");
+}
+
+/// The exact logistic propagator in its integrated-rate form, one exp
+/// per call: the reference for the growth-factor form the solvers run.
+double logistic_exact_reference(double n, double integrated_rate, double k) {
+  if (n <= 0.0) return n;
+  const double growth = std::exp(integrated_rate);
+  return k * n * growth / (k + n * (growth - 1.0));
+}
+
+TEST(LogisticPropagator, GrowthFactorFormKeepsTheBitsAtEdgeValues) {
+  // Nelder–Mead probes reach the corners of the box, so n <= 0, exp
+  // overflow and underflow, and NaN inputs must keep their bits too.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double k : {1.0, 25.0})
+    for (const double v :
+         {-1.0, -0.0, 0.0, 1e-300, k / 2.0, k, 10.0 * k, inf, nan})
+      for (const double r : {-800.0, -1.0, 0.0, 1e-12, 0.7, 50.0, 800.0, nan}) {
+        const double expected = logistic_exact_reference(v, r, k);
+        const double got =
+            detail::logistic_exact_with_growth(v, std::exp(r), k);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                  std::bit_cast<std::uint64_t>(expected))
+            << "v=" << v << " R=" << r << " k=" << k << ": " << got
+            << " vs " << expected;
+      }
 }
 
 // Property sweep: every scheme stays within the unique band across a

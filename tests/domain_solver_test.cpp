@@ -316,6 +316,8 @@ TEST(DomainSpec, RejectionsNameThePositionTheSpecAndTheGrammar) {
   expect_rejected("grid2d:a,4", "at position 8");       // bad number
   expect_rejected("comm:0", "at position 6");           // zero communities
   expect_rejected("comm:x", "at position 6");           // bad count
+  expect_rejected("comm:65", "at position 6");          // above the cap
+  expect_rejected("comm:40000|mix=0.1", "at position 6");  // no K*K alloc
   expect_rejected("comm:2|bogus=1", "at position 8");   // unknown segment
   expect_rejected("comm:2|mix=0.1,0.2", "at position 12");  // 1 or K*K
   expect_rejected("comm:2|scale=1", "at position 14");  // one per community
