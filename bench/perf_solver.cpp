@@ -11,7 +11,8 @@
 //  * allocs_per_step — the marginal allocations of adding a time step,
 //    measured by differencing two warm solves that differ only in step
 //    count.  The hot-path contract is that this is exactly 0 for every
-//    scheme (steady-state stepping never touches the heap).
+//    scheme (steady-state stepping never touches the heap); CI's
+//    gcc/Release job fails if any row reports otherwise.
 //
 // The bench CI workflow runs this binary with --benchmark_out to emit
 // BENCH_solver.json; the counters land in each benchmark's JSON record,
