@@ -10,14 +10,16 @@
 // warm-from-disk bench extends the pair across a process boundary: load
 // the saved cache file into a fresh cache, re-run, zero solves — with
 // the file size (cache_file_bytes) and the bare save/load costs
-// reported alongside.  The journal bench prices the WAL tax of the
-// crash-safety PR: journal_ns_per_entry and wal_bytes per appended
-// trace record.
+// reported alongside.  The merge bench prices the shard join: two shard
+// cache files of the calibration sweep merged into one cache.  The
+// journal bench prices the WAL tax of the crash-safety PR:
+// journal_ns_per_entry and wal_bytes per appended trace record.
 
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -213,6 +215,38 @@ void BM_cache_load(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_cache_load)->Unit(benchmark::kMillisecond);
+
+void BM_cache_merge(benchmark::State& state) {
+  // The shard join (dl_shard --merge-cache): merge_cache_files of the two
+  // contiguous shard caches of the calibration sweep into a fresh cache —
+  // read, checksum and parse both files, then merge their entries.
+  const engine::scenario_context ctx = make_context();
+  const engine::sweep_spec spec = make_spec();
+  std::vector<std::filesystem::path> paths;
+  for (std::size_t i = 0; i < 2; ++i) {
+    engine::solve_cache cache;
+    engine::runner_options options;
+    options.cache = &cache;
+    options.shard = {i, 2, engine::shard_policy::contiguous};
+    (void)engine::run_sweep(ctx, spec, options);
+    paths.push_back(std::filesystem::temp_directory_path() /
+                    ("dlm_perf_merge_" + std::to_string(::getpid()) + "_" +
+                     std::to_string(i) + ".bin"));
+    engine::save_cache(cache, paths.back());
+  }
+  {
+    const alloc_scope allocs(state);
+    for (auto _ : state) {
+      engine::solve_cache merged;
+      if (engine::merge_cache_files(merged, paths).conflicts != 0)
+        state.SkipWithError("shard caches conflict");
+      benchmark::DoNotOptimize(merged);
+    }
+  }
+  for (const std::filesystem::path& path : paths)
+    std::filesystem::remove(path);
+}
+BENCHMARK(BM_cache_merge)->Unit(benchmark::kMillisecond);
 
 void BM_journal_append(benchmark::State& state) {
   // The WAL tax: per-insert cost of journaling a realistic trace record

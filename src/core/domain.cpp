@@ -1,29 +1,12 @@
 #include "core/domain.h"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "core/full_precision.h"
 
 namespace dlm::core {
 namespace {
-
-// Full-precision decimal formatting (shortest round-trip %.17g), matching
-// the engine's canonical-identity formatter so a domain label embedded in
-// a cache key never depends on locale or stream state.
-std::string fp(double value) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-std::string join_fp(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    out += fp(values[i]);
-  }
-  return out;
-}
 
 /// The single off-diagonal rate of a uniform K×K mixing matrix, or a
 /// negative value when the matrix is not uniform.  Diagonal ignored.
@@ -81,18 +64,33 @@ bool domain::has_mixing() const noexcept {
 std::string domain::label() const {
   switch (kind) {
     case domain_kind::line: return "line";
-    case domain_kind::grid2d: return "grid2d:" + fp(y_min) + ',' + fp(y_max);
+    case domain_kind::grid2d: {
+      // Full precision, so a label embedded in a cache key never depends
+      // on locale or stream state.
+      std::string out = "grid2d:";
+      append_full_precision(out, y_min);
+      out += ',';
+      append_full_precision(out, y_max);
+      return out;
+    }
     case domain_kind::communities: {
       std::string out = "comm:" + std::to_string(community_count);
       if (has_mixing()) {
         const double rate = uniform_mixing_rate(mixing, community_count);
         out += "|mix=";
-        out += rate >= 0.0 ? fp(rate) : join_fp(mixing);
+        if (rate >= 0.0) {
+          append_full_precision(out, rate);
+        } else {
+          append_full_precision(out, mixing);
+        }
       }
       bool scaled = false;
       for (double s : scales)
         if (s != 1.0) scaled = true;
-      if (scaled) out += "|scale=" + join_fp(scales);
+      if (scaled) {
+        out += "|scale=";
+        append_full_precision(out, scales);
+      }
       return out;
     }
   }

@@ -2,28 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
+#include "core/full_precision.h"
 #include "numerics/quadrature.h"
 
 namespace dlm::core {
-namespace {
-
-std::string join_full(const std::vector<double>& values) {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
-    char buffer[32];
-    std::snprintf(buffer, sizeof(buffer), "%.17g", values[i]);
-    out += buffer;
-  }
-  return out;
-}
-
-}  // namespace
-
 rate_field::rate_field(growth_rate temporal) {
   family_ = family::temporal;
   label_ = temporal.label();
@@ -42,8 +27,8 @@ rate_field rate_field::separable(growth_rate base,
   }
   rate_field field;
   field.family_ = family::separable;
-  field.label_ =
-      "spatial(" + base.label() + "|m=" + join_full(multipliers) + ")";
+  field.label_ = "spatial(" + base.label() +
+                 "|m=" + join_full_precision(multipliers) + ")";
   field.rates_.push_back(std::move(base));
   field.multipliers_ = std::move(multipliers);
   field.x_anchor_ = x_anchor;

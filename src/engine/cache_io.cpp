@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -21,17 +20,18 @@ constexpr std::uint32_t kSectionCount = 2;
 
 // ----------------------------------------------------------- LE writing
 
-void put_u32(std::string& out, std::uint32_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-  out.push_back(static_cast<char>((v >> 16) & 0xFF));
-  out.push_back(static_cast<char>((v >> 24) & 0xFF));
+/// Appends the little-endian bytes of an unsigned integer.
+template <class Uint>
+void put_le(std::string& out, Uint v) {
+  char bytes[sizeof(Uint)];
+  for (std::size_t i = 0; i < sizeof(Uint); ++i)
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  out.append(bytes, sizeof bytes);
 }
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8)
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-}
+void put_u32(std::string& out, std::uint32_t v) { put_le(out, v); }
+
+void put_u64(std::string& out, std::uint64_t v) { put_le(out, v); }
 
 void put_f64(std::string& out, double v) {
   put_u64(out, std::bit_cast<std::uint64_t>(v));
@@ -46,6 +46,157 @@ void put_string(std::string& out, std::string_view s) {
     throw std::runtime_error("cache_io: key too long to serialize");
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   out.append(s);
+}
+
+constexpr std::uint64_t kFnvOffsetBasis = 1469598103934665603ULL;
+
+/// FNV-1a 64 over `bytes`, continuing from `hash`.
+std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;  // FNV-1a 64 prime
+  }
+  return hash;
+}
+
+/// One trace entry (key · domain · distances · times · effective_dt ·
+/// predicted blob), appended to `out`.
+void append_trace_entry(std::string& out, std::string_view key,
+                        const model_trace& trace) {
+  const auto ragged = [key] {
+    return std::runtime_error("cache_io: trace '" + std::string(key) +
+                              "' has a ragged predicted surface");
+  };
+  if (trace.predicted.size() != trace.distances.size()) throw ragged();
+  put_string(out, key);
+  put_string(out, trace.domain);
+  put_u32(out, static_cast<std::uint32_t>(trace.distances.size()));
+  for (const int d : trace.distances) put_i32(out, d);
+  put_u32(out, static_cast<std::uint32_t>(trace.times.size()));
+  for (const double t : trace.times) put_f64(out, t);
+  put_f64(out, trace.effective_dt);
+  for (const std::vector<double>& row : trace.predicted) {
+    if (row.size() != trace.times.size()) throw ragged();
+    for (const double v : row) put_f64(out, v);
+  }
+}
+
+void append_value_entry(std::string& out, std::string_view key,
+                        double value) {
+  put_string(out, key);
+  put_f64(out, value);
+}
+
+/// Writes the snapshot layout front to back — the one writer behind
+/// serialize_cache and save_cache.  A section header goes out with a
+/// zero length and checksum; the payload is hashed as it passes, and
+/// end_section patches both fields.  Without a file every byte stays in
+/// the buffer.  With one, the buffer drains to the file a block at a
+/// time, so a save holds one block of the snapshot rather than the whole
+/// file, and a header that already left is patched by seeking back.
+class snapshot_writer {
+ public:
+  explicit snapshot_writer(std::ofstream* file = nullptr) : file_(file) {
+    if (file_ != nullptr) buffer_.reserve(2 * kBlockBytes);
+    buffer_.append(kCacheMagic);
+    put_u32(buffer_, kCacheFormatVersion);
+    put_u32(buffer_, kSectionCount);
+  }
+
+  /// Where the entries of the open section are appended.
+  [[nodiscard]] std::string& buffer() noexcept { return buffer_; }
+
+  void begin_section(std::uint32_t tag) {
+    section_at_ = offset();
+    put_u32(buffer_, tag);
+    put_u64(buffer_, 0);  // payload bytes, patched by end_section
+    put_u64(buffer_, 0);  // checksum, patched by end_section
+    payload_at_ = offset();
+    hashed_ = buffer_.size();
+    hash_ = kFnvOffsetBasis;
+  }
+
+  /// Called after each entry: drains the buffer once it holds a block.
+  void entry_done() {
+    if (file_ != nullptr && buffer_.size() >= kBlockBytes) drain();
+  }
+
+  void end_section() {
+    hash_pending();
+    std::string fields;
+    put_u64(fields, offset() - payload_at_);
+    put_u64(fields, hash_);
+    const std::uint64_t at = section_at_ + 4;  // past the tag
+    if (at >= drained_) {
+      buffer_.replace(static_cast<std::size_t>(at - drained_), fields.size(),
+                      fields);
+      return;
+    }
+    drain();
+    file_->seekp(static_cast<std::streamoff>(at));
+    file_->write(fields.data(), static_cast<std::streamsize>(fields.size()));
+    file_->seekp(0, std::ios::end);
+  }
+
+  /// Without a file: the whole snapshot.
+  [[nodiscard]] std::string take() { return std::move(buffer_); }
+
+  /// With a file: writes out what the buffer still holds.
+  void finish() { drain(); }
+
+ private:
+  static constexpr std::size_t kBlockBytes = 64 << 10;
+
+  [[nodiscard]] std::uint64_t offset() const noexcept {
+    return drained_ + buffer_.size();
+  }
+
+  /// Folds the payload bytes appended since the last call into the hash.
+  void hash_pending() {
+    hash_ = fnv1a(hash_, std::string_view(buffer_).substr(hashed_));
+    hashed_ = buffer_.size();
+  }
+
+  void drain() {
+    hash_pending();
+    file_->write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
+    drained_ += buffer_.size();
+    buffer_.clear();
+    hashed_ = 0;
+  }
+
+  std::ofstream* file_;
+  std::string buffer_;
+  std::uint64_t drained_ = 0;  ///< bytes already written to the file
+  std::uint64_t section_at_ = 0;
+  std::uint64_t payload_at_ = 0;
+  std::size_t hashed_ = 0;  ///< buffer bytes already in hash_
+  std::uint64_t hash_ = kFnvOffsetBasis;
+};
+
+/// Both sections, entries in key order.  Each export is a sorted
+/// snapshot taken under the cache mutex, so concurrent inserts never
+/// block on the write.
+void write_snapshot(const solve_cache& cache, snapshot_writer& writer) {
+  {
+    const std::vector<solve_cache::trace_export> traces =
+        cache.export_traces();
+    writer.begin_section(kTraceSectionTag);
+    put_u64(writer.buffer(), traces.size());
+    for (const solve_cache::trace_export& entry : traces) {
+      append_trace_entry(writer.buffer(), entry.key, *entry.trace);
+      writer.entry_done();
+    }
+    writer.end_section();
+  }
+  const std::vector<solve_cache::value_export> values = cache.export_values();
+  writer.begin_section(kValueSectionTag);
+  put_u64(writer.buffer(), values.size());
+  for (const solve_cache::value_export& entry : values) {
+    append_value_entry(writer.buffer(), entry.key, entry.value);
+    writer.entry_done();
+  }
+  writer.end_section();
 }
 
 // ------------------------------------------------------------ LE reader
@@ -207,6 +358,79 @@ std::string parse_value_section(std::string_view payload, parsed_file& out) {
   return {};
 }
 
+/// Verifies and parses a whole snapshot: header, then each section's
+/// checksum before its payload.  Returns an error message or empty; on
+/// error `out` may hold a partial parse, which the caller discards.
+std::string parse_file(std::string_view bytes, parsed_file& out) {
+  reader r(bytes);
+  const std::string_view magic = r.get_bytes(kCacheMagic.size());
+  if (!r.ok()) return "file shorter than the header";
+  if (magic != kCacheMagic) return "bad magic";
+  const std::uint32_t version = r.get_u32();
+  const std::uint32_t sections = r.get_u32();
+  if (!r.ok()) return "file shorter than the header";
+  if (version != kCacheFormatVersion)
+    return "unsupported format version " + std::to_string(version) +
+           " (expected " + std::to_string(kCacheFormatVersion) + ")";
+  if (sections != kSectionCount)
+    return "unexpected section count " + std::to_string(sections);
+
+  for (const std::uint32_t expected_tag :
+       {kTraceSectionTag, kValueSectionTag}) {
+    const std::uint32_t tag = r.get_u32();
+    const std::uint64_t payload_bytes = r.get_u64();
+    const std::uint64_t checksum = r.get_u64();
+    if (!r.ok()) return "truncated section header";
+    if (tag != expected_tag)
+      return "unexpected section tag " + std::to_string(tag);
+    if (payload_bytes > r.remaining()) return "section payload overruns file";
+    const std::string_view payload =
+        r.get_bytes(static_cast<std::size_t>(payload_bytes));
+    if (cache_checksum(payload) != checksum)
+      return "section checksum mismatch";
+    std::string error = tag == kTraceSectionTag
+                            ? parse_trace_section(payload, out)
+                            : parse_value_section(payload, out);
+    if (!error.empty()) return error;
+  }
+  if (!r.at_end()) return "trailing bytes after last section";
+  return {};
+}
+
+/// A cache file's bytes, read in one call.
+struct file_bytes {
+  std::string bytes;
+  bool missing = false;  ///< nothing at the path: a cold start
+  std::string error;     ///< why the path could not be read
+};
+
+file_bytes read_cache_file(const std::filesystem::path& path) {
+  file_bytes out;
+  std::error_code ec;
+  const std::filesystem::file_status status =
+      std::filesystem::status(path, ec);
+  if (status.type() == std::filesystem::file_type::not_found) {
+    out.missing = true;
+    return out;
+  }
+  // Only a regular file has a size to read up front: a directory opens
+  // as a stream but fails its first read, and tellg() reports garbage.
+  if (!std::filesystem::is_regular_file(status)) {
+    out.error = "cache path '" + path.string() + "' is not a regular file";
+    return out;
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  if (!ec && in) {
+    out.bytes.resize(static_cast<std::size_t>(size));
+    if (in.read(out.bytes.data(), static_cast<std::streamsize>(size)))
+      return out;
+  }
+  out.bytes.clear();
+  out.error = "read of '" + path.string() + "' failed";
+  return out;
+}
+
 cache_load_result reject(solve_cache& cache, std::string error) {
   cache.count_load_rejected();
   cache_load_result result;
@@ -217,40 +441,19 @@ cache_load_result reject(solve_cache& cache, std::string error) {
 }  // namespace
 
 std::uint64_t cache_checksum(std::string_view bytes) {
-  std::uint64_t hash = 1469598103934665603ULL;  // FNV-1a 64 offset basis
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;  // FNV-1a 64 prime
-  }
-  return hash;
+  return fnv1a(kFnvOffsetBasis, bytes);
 }
 
 std::string encode_trace_entry(std::string_view key,
                                const model_trace& trace) {
-  if (trace.predicted.size() != trace.distances.size())
-    throw std::runtime_error("cache_io: trace '" + std::string(key) +
-                             "' has a ragged predicted surface");
   std::string out;
-  put_string(out, key);
-  put_string(out, trace.domain);
-  put_u32(out, static_cast<std::uint32_t>(trace.distances.size()));
-  for (const int d : trace.distances) put_i32(out, d);
-  put_u32(out, static_cast<std::uint32_t>(trace.times.size()));
-  for (const double t : trace.times) put_f64(out, t);
-  put_f64(out, trace.effective_dt);
-  for (const std::vector<double>& row : trace.predicted) {
-    if (row.size() != trace.times.size())
-      throw std::runtime_error("cache_io: trace '" + std::string(key) +
-                               "' has a ragged predicted surface");
-    for (const double v : row) put_f64(out, v);
-  }
+  append_trace_entry(out, key, trace);
   return out;
 }
 
 std::string encode_value_entry(std::string_view key, double value) {
   std::string out;
-  put_string(out, key);
-  put_f64(out, value);
+  append_value_entry(out, key, value);
   return out;
 }
 
@@ -274,75 +477,16 @@ std::string decode_value_entry(std::string_view payload, std::string& key,
 }
 
 std::string serialize_cache(const solve_cache& cache) {
-  std::string traces;
-  const std::vector<solve_cache::trace_export> trace_entries =
-      cache.export_traces();
-  put_u64(traces, trace_entries.size());
-  for (const solve_cache::trace_export& entry : trace_entries)
-    traces += encode_trace_entry(entry.key, *entry.trace);
-
-  std::string values;
-  const std::vector<solve_cache::value_export> value_entries =
-      cache.export_values();
-  put_u64(values, value_entries.size());
-  for (const solve_cache::value_export& entry : value_entries)
-    values += encode_value_entry(entry.key, entry.value);
-
-  std::string out;
-  out.reserve(24 + 40 + traces.size() + values.size());
-  out.append(kCacheMagic);
-  put_u32(out, kCacheFormatVersion);
-  put_u32(out, kSectionCount);
-  const auto append_section = [&out](std::uint32_t tag,
-                                     const std::string& payload) {
-    put_u32(out, tag);
-    put_u64(out, payload.size());
-    put_u64(out, cache_checksum(payload));
-    out.append(payload);
-  };
-  append_section(kTraceSectionTag, traces);
-  append_section(kValueSectionTag, values);
-  return out;
+  snapshot_writer writer;
+  write_snapshot(cache, writer);
+  return writer.take();
 }
 
 cache_load_result deserialize_cache(solve_cache& cache,
                                     std::string_view bytes) {
-  reader r(bytes);
-  const std::string_view magic = r.get_bytes(kCacheMagic.size());
-  if (!r.ok()) return reject(cache, "file shorter than the header");
-  if (magic != kCacheMagic) return reject(cache, "bad magic");
-  const std::uint32_t version = r.get_u32();
-  const std::uint32_t sections = r.get_u32();
-  if (!r.ok()) return reject(cache, "file shorter than the header");
-  if (version != kCacheFormatVersion)
-    return reject(cache, "unsupported format version " +
-                             std::to_string(version) + " (expected " +
-                             std::to_string(kCacheFormatVersion) + ")");
-  if (sections != kSectionCount)
-    return reject(cache,
-                  "unexpected section count " + std::to_string(sections));
-
   parsed_file parsed;
-  for (const std::uint32_t expected_tag :
-       {kTraceSectionTag, kValueSectionTag}) {
-    const std::uint32_t tag = r.get_u32();
-    const std::uint64_t payload_bytes = r.get_u64();
-    const std::uint64_t checksum = r.get_u64();
-    if (!r.ok()) return reject(cache, "truncated section header");
-    if (tag != expected_tag)
-      return reject(cache, "unexpected section tag " + std::to_string(tag));
-    if (payload_bytes > r.remaining())
-      return reject(cache, "section payload overruns file");
-    const std::string_view payload =
-        r.get_bytes(static_cast<std::size_t>(payload_bytes));
-    if (cache_checksum(payload) != checksum)
-      return reject(cache, "section checksum mismatch");
-    const std::string error = tag == kTraceSectionTag
-                                  ? parse_trace_section(payload, parsed)
-                                  : parse_value_section(payload, parsed);
-    if (!error.empty()) return reject(cache, error);
-  }
-  if (!r.at_end()) return reject(cache, "trailing bytes after last section");
+  if (std::string error = parse_file(bytes, parsed); !error.empty())
+    return reject(cache, std::move(error));
 
   // Whole file verified: commit.  Everything before this line must not
   // have touched the cache.
@@ -351,28 +495,32 @@ cache_load_result deserialize_cache(solve_cache& cache,
   result.traces = parsed.traces.size();
   result.values = parsed.values.size();
   for (auto& [key, trace] : parsed.traces)
-    cache.import_trace(key,
+    cache.import_trace(std::move(key),
                        std::make_shared<const model_trace>(std::move(trace)));
-  for (const auto& [key, value] : parsed.values)
-    cache.import_value(key, value);
+  for (auto& [key, value] : parsed.values)
+    cache.import_value(std::move(key), value);
   return result;
 }
 
 void save_cache(const solve_cache& cache, const std::filesystem::path& path) {
-  const std::string bytes = serialize_cache(cache);
   const std::filesystem::path tmp = path.string() + ".tmp";
-  {
+  std::error_code ec;
+  try {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     if (!out)
       throw std::runtime_error("cache_io: cannot open '" + tmp.string() +
                                "' for writing");
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    snapshot_writer writer(&out);
+    write_snapshot(cache, writer);
+    writer.finish();
     out.flush();
     if (!out)
       throw std::runtime_error("cache_io: write to '" + tmp.string() +
                                "' failed");
+  } catch (...) {
+    std::filesystem::remove(tmp, ec);
+    throw;
   }
-  std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);
@@ -383,25 +531,29 @@ void save_cache(const solve_cache& cache, const std::filesystem::path& path) {
 
 cache_load_result load_cache(solve_cache& cache,
                              const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  file_bytes file = read_cache_file(path);
+  if (file.missing) {
     // A missing file is a normal cold start, not a corrupt cache.
     cache_load_result result;
     result.file_missing = true;
     return result;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof())
-    return reject(cache, "read of '" + path.string() + "' failed");
-  return deserialize_cache(cache, bytes);
+  if (!file.error.empty()) return reject(cache, std::move(file.error));
+  return deserialize_cache(cache, file.bytes);
 }
 
 std::string probe_cache_writable(const std::filesystem::path& path) {
+  // An existing path that is not a regular file (a directory, say) can
+  // neither be loaded nor replaced by the rename that ends a save.
+  std::error_code ec;
+  const std::filesystem::file_status status =
+      std::filesystem::status(path, ec);
+  if (std::filesystem::exists(status) &&
+      !std::filesystem::is_regular_file(status))
+    return "cache file '" + path.string() + "' is not a regular file";
   // Probe the exact file save_cache will write (the ".tmp" sibling) so a
   // pass here means the later atomic save can at least open its target.
   const std::filesystem::path tmp = path.string() + ".tmp";
-  std::error_code ec;
   const bool existed = std::filesystem::exists(tmp, ec);
   {
     // Append mode: an existing .tmp (a concurrent writer's in-flight
@@ -417,40 +569,46 @@ std::string probe_cache_writable(const std::filesystem::path& path) {
 
 cache_merge_result merge_cache_files(
     solve_cache& into, std::span<const std::filesystem::path> paths) {
-  // Load every input into a scratch cache first: any missing or corrupt
+  // Read, verify and parse every input first: any missing or corrupt
   // file aborts the whole merge before `into` is touched, mirroring the
   // loader's own all-or-nothing contract.
-  std::vector<std::unique_ptr<solve_cache>> scratch;
+  std::vector<parsed_file> inputs(paths.size());
   cache_merge_result result;
-  for (const std::filesystem::path& path : paths) {
-    auto cache = std::make_unique<solve_cache>();
-    cache_load_result load = load_cache(*cache, path);
-    if (!load.loaded) {
-      if (load.file_missing)
-        throw std::runtime_error("merge_cache_files: input '" + path.string() +
-                                 "' does not exist");
-      throw std::runtime_error("merge_cache_files: input '" + path.string() +
-                               "' rejected: " + load.error);
-    }
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    const std::string input =
+        "merge_cache_files: input '" + paths[i].string() + "'";
+    file_bytes file = read_cache_file(paths[i]);
+    if (file.missing) throw std::runtime_error(input + " does not exist");
+    const std::string error = file.error.empty()
+                                  ? parse_file(file.bytes, inputs[i])
+                                  : std::move(file.error);
+    if (!error.empty())
+      throw std::runtime_error(input + " rejected: " + error);
+    cache_load_result load;
+    load.loaded = true;
+    load.traces = inputs[i].traces.size();
+    load.values = inputs[i].values.size();
     result.loads.push_back(std::move(load));
-    scratch.push_back(std::move(cache));
   }
 
-  for (const std::unique_ptr<solve_cache>& cache : scratch) {
-    for (solve_cache::trace_export& entry : cache->export_traces()) {
-      switch (into.merge_trace(entry.key, std::move(entry.trace))) {
-        case solve_cache::merge_outcome::inserted: ++result.merged_traces; break;
-        case solve_cache::merge_outcome::duplicate: ++result.duplicates; break;
-        case solve_cache::merge_outcome::conflict: ++result.conflicts; break;
-      }
+  // Then merge the parsed entries in input order, each file's keys in
+  // the sorted order they were written in.
+  const auto tally = [&result](solve_cache::merge_outcome outcome,
+                               std::size_t& merged) {
+    switch (outcome) {
+      case solve_cache::merge_outcome::inserted: ++merged; break;
+      case solve_cache::merge_outcome::duplicate: ++result.duplicates; break;
+      case solve_cache::merge_outcome::conflict: ++result.conflicts; break;
     }
-    for (const solve_cache::value_export& entry : cache->export_values()) {
-      switch (into.merge_value(entry.key, entry.value)) {
-        case solve_cache::merge_outcome::inserted: ++result.merged_values; break;
-        case solve_cache::merge_outcome::duplicate: ++result.duplicates; break;
-        case solve_cache::merge_outcome::conflict: ++result.conflicts; break;
-      }
-    }
+  };
+  for (parsed_file& input : inputs) {
+    for (auto& [key, trace] : input.traces)
+      tally(into.merge_trace(std::move(key),
+                             std::make_shared<const model_trace>(
+                                 std::move(trace))),
+            result.merged_traces);
+    for (auto& [key, value] : input.values)
+      tally(into.merge_value(std::move(key), value), result.merged_values);
   }
   return result;
 }

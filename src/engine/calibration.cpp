@@ -15,15 +15,18 @@ namespace {
 
 constexpr std::string_view kCalibrate = "calibrate";
 
-/// "v=<d>,<K>[,<a>,<b>,<c>]" at full precision — the per-probe part of a
-/// value-cache key.
-std::string vector_suffix(std::span<const double> v) {
-  std::string out = "|v=";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) out += ',';
-    out += format_full_precision(v[i]);
-  }
-  return out;
+/// The value-cache key of one probe: `prefix` + "|v=<d>,<K>[,<a>,<b>,<c>]"
+/// at full precision.  A fit probes ~300 vectors, and a warm fit is
+/// nothing but these lookups, so the key is built into one buffer per
+/// thread that every probe reuses instead of a fresh string per
+/// coordinate.  The reference stays valid until the thread's next call.
+const std::string& probe_key(const std::string& prefix,
+                             std::span<const double> v) {
+  thread_local std::string key;
+  key.assign(prefix);
+  key += "|v=";
+  append_full_precision(key, v);
+  return key;
 }
 
 }  // namespace
@@ -132,7 +135,8 @@ scenario_calibration calibrate_scenario(const scenario& sc,
                          "|model=" + sc.model;
     prefix += "|scheme=" + core::to_string(sc.scheme);
     prefix += "|grid=" + std::to_string(sc.points_per_unit);
-    prefix += "|dt=" + format_full_precision(options.solver.dt);
+    prefix += "|dt=";
+    append_full_precision(prefix, options.solver.dt);
     // Distinguish the three fit families: their probe vectors have
     // different layouts (and, for -fixed vs -spatial, different models
     // behind equal-length (d, K) lattice prefixes).
@@ -143,7 +147,8 @@ scenario_calibration calibrate_scenario(const scenario& sc,
     } else {
       prefix += "|rate=" + resolve_rate_spec("preset", slice.metric);
     }
-    prefix += "|t0=" + format_full_precision(sc.t0);
+    prefix += "|t0=";
+    append_full_precision(prefix, sc.t0);
     prefix += "|fit_end=" + std::to_string(info.fit_end);
     // Same convention as scenario_cache_key: non-line domains suffix
     // their canonical label, line keys stay byte-identical to before the
@@ -153,11 +158,11 @@ scenario_calibration calibrate_scenario(const scenario& sc,
       if (!dom.is_line()) prefix += "|domain=" + dom.label();
     }
     options.cache_find = [cache, prefix](std::span<const double> v) {
-      return cache->find_value(prefix + vector_suffix(v));
+      return cache->find_value(probe_key(prefix, v));
     };
     options.cache_store = [cache, prefix](std::span<const double> v,
                                           double value) {
-      cache->store_value(prefix + vector_suffix(v), value);
+      cache->store_value(probe_key(prefix, v), value);
     };
   }
   if (pool != nullptr) {

@@ -4,35 +4,20 @@
 // Cache-key identity and CSV identity must agree byte for byte (a
 // calibrated row's resolved_rate is both recorded in the CSV and folded
 // into cache keys), so every engine component formats doubles through
-// this one helper.
+// the one formatter in core/full_precision.h, re-exported here.
 #pragma once
 
-#include <cstdio>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/full_precision.h"
+
 namespace dlm::engine {
 
-/// %.17g — the shortest decimal form guaranteed to round-trip a double
-/// exactly through from_chars.
-[[nodiscard]] inline std::string format_full_precision(double value) {
-  char buffer[32];
-  const int written = std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return std::string(buffer, static_cast<std::size_t>(written));
-}
-
-/// Separator-joined full-precision values: the fit_m CSV field and the
-/// multiplier list of a resolved "spatial:..." spec share this form.
-[[nodiscard]] inline std::string join_full_precision(
-    const std::vector<double>& values, char sep = ',') {
-  std::string out;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += sep;
-    out += format_full_precision(values[i]);
-  }
-  return out;
-}
+using core::append_full_precision;
+using core::format_full_precision;
+using core::join_full_precision;
 
 /// Splits `text` on `sep`, keeping empty pieces — callers reject or
 /// preserve them deliberately (spec parsers quote the empty piece in

@@ -34,6 +34,24 @@ bool traces_bitwise_equal(const model_trace& a, const model_trace& b) {
   return true;
 }
 
+bool same_payload(const std::shared_ptr<const model_trace>& a,
+                  const std::shared_ptr<const model_trace>& b) {
+  return traces_bitwise_equal(*a, *b);
+}
+
+bool same_payload(double a, double b) { return bits_equal(a, b); }
+
+void notify(const solve_cache::write_observer& observer,
+            const std::string& key,
+            const std::shared_ptr<const model_trace>& trace) {
+  observer(key, trace.get(), nullptr);
+}
+
+void notify(const solve_cache::write_observer& observer,
+            const std::string& key, double value) {
+  observer(key, nullptr, &value);
+}
+
 }  // namespace
 
 void solve_cache::evict_overflow() {
@@ -50,68 +68,87 @@ void solve_cache::evict_overflow() {
   }
 }
 
-std::shared_ptr<const model_trace> solve_cache::find_trace(
-    const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = traces_.find(key);
-  if (it == traces_.end()) {
+template <class Map>
+typename Map::mapped_type* solve_cache::find_locked(Map& map,
+                                                    const std::string& key) {
+  const auto it = map.find(key);
+  if (it == map.end()) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.second);  // refresh recency
-  return it->second.first;
+  if (max_entries_ != 0)
+    lru_.splice(lru_.begin(), lru_, it->second.recency);  // refresh recency
+  return &it->second;
+}
+
+template <class Map, class Payload>
+solve_cache::merge_outcome solve_cache::insert(Map& map, entry_kind kind,
+                                               std::string key,
+                                               Payload payload, bool merging) {
+  std::shared_ptr<const write_observer> observer;
+  std::string observed_key;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    // try_emplace leaves key and payload untouched when the key exists.
+    const auto [it, inserted] =
+        map.try_emplace(std::move(key), std::move(payload));
+    if (!inserted) {  // first insert wins
+      if (!merging || same_payload(it->second.payload, payload))
+        return merge_outcome::duplicate;
+      ++stats_.merge_conflicts;
+      return merge_outcome::conflict;
+    }
+    if (merging) ++stats_.merged_entries;
+    observer = observer_;
+    if (observer != nullptr) {
+      // Copied while locked: the cap may evict the entry once we unlock.
+      observed_key = it->first;
+      payload = it->second.payload;
+    }
+    if (max_entries_ != 0) {
+      lru_.emplace_front(kind, it->first);
+      it->second.recency = lru_.begin();
+      evict_overflow();
+    }
+  }
+  // Outside the lock (see set_write_observer): even an entry the LRU cap
+  // evicted immediately is still observed — journaling it is harmless,
+  // replay re-applies the cap.
+  if (observer != nullptr) notify(*observer, observed_key, payload);
+  return merge_outcome::inserted;
+}
+
+std::shared_ptr<const model_trace> solve_cache::find_trace(
+    const std::string& key) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto* hit = find_locked(traces_, key);
+  return hit != nullptr ? hit->payload : nullptr;
 }
 
 void solve_cache::store_trace(const std::string& key, model_trace trace) {
   import_trace(key, std::make_shared<const model_trace>(std::move(trace)));
 }
 
-void solve_cache::import_trace(const std::string& key,
+void solve_cache::import_trace(std::string key,
                                std::shared_ptr<const model_trace> trace) {
-  std::shared_ptr<const model_trace> inserted = std::move(trace);
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (traces_.contains(key)) return;  // first insert wins
-    lru_.emplace_front(entry_kind::trace, key);
-    traces_.emplace(key, std::make_pair(inserted, lru_.begin()));
-    evict_overflow();
-    observer = observer_;
-  }
-  // Outside the lock (see set_write_observer): even an entry the LRU cap
-  // evicted immediately is still observed — journaling it is harmless,
-  // replay re-applies the cap.
-  if (observer != nullptr) (*observer)(key, inserted.get(), nullptr);
+  (void)insert(traces_, entry_kind::trace, std::move(key), std::move(trace),
+               false);
 }
 
 std::optional<double> solve_cache::find_value(const std::string& key) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    ++stats_.misses;
-    return std::nullopt;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.second);  // refresh recency
-  return it->second.first;
+  const auto* hit = find_locked(values_, key);
+  if (hit == nullptr) return std::nullopt;
+  return hit->payload;
 }
 
 void solve_cache::store_value(const std::string& key, double value) {
   import_value(key, value);
 }
 
-void solve_cache::import_value(const std::string& key, double value) {
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (values_.contains(key)) return;  // first insert wins
-    lru_.emplace_front(entry_kind::value, key);
-    values_.emplace(key, std::make_pair(value, lru_.begin()));
-    evict_overflow();
-    observer = observer_;
-  }
-  if (observer != nullptr) (*observer)(key, nullptr, &value);
+void solve_cache::import_value(std::string key, double value) {
+  (void)insert(values_, entry_kind::value, std::move(key), value, false);
 }
 
 std::vector<solve_cache::trace_export> solve_cache::export_traces() const {
@@ -120,7 +157,7 @@ std::vector<solve_cache::trace_export> solve_cache::export_traces() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     out.reserve(traces_.size());
     for (const auto& [key, entry] : traces_)
-      out.push_back({key, entry.first});
+      out.push_back({key, entry.payload});
   }
   std::sort(out.begin(), out.end(),
             [](const trace_export& a, const trace_export& b) {
@@ -135,7 +172,7 @@ std::vector<solve_cache::value_export> solve_cache::export_values() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     out.reserve(values_.size());
     for (const auto& [key, entry] : values_)
-      out.push_back({key, entry.first});
+      out.push_back({key, entry.payload});
   }
   std::sort(out.begin(), out.end(),
             [](const value_export& a, const value_export& b) {
@@ -145,47 +182,14 @@ std::vector<solve_cache::value_export> solve_cache::export_values() const {
 }
 
 solve_cache::merge_outcome solve_cache::merge_trace(
-    const std::string& key, std::shared_ptr<const model_trace> trace) {
-  std::shared_ptr<const model_trace> inserted = std::move(trace);
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = traces_.find(key);
-    if (it != traces_.end()) {
-      if (traces_bitwise_equal(*it->second.first, *inserted))
-        return merge_outcome::duplicate;
-      ++stats_.merge_conflicts;
-      return merge_outcome::conflict;
-    }
-    lru_.emplace_front(entry_kind::trace, key);
-    traces_.emplace(key, std::make_pair(inserted, lru_.begin()));
-    ++stats_.merged_entries;
-    evict_overflow();
-    observer = observer_;
-  }
-  if (observer != nullptr) (*observer)(key, inserted.get(), nullptr);
-  return merge_outcome::inserted;
+    std::string key, std::shared_ptr<const model_trace> trace) {
+  return insert(traces_, entry_kind::trace, std::move(key), std::move(trace),
+                true);
 }
 
-solve_cache::merge_outcome solve_cache::merge_value(const std::string& key,
+solve_cache::merge_outcome solve_cache::merge_value(std::string key,
                                                     double value) {
-  std::shared_ptr<const write_observer> observer;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = values_.find(key);
-    if (it != values_.end()) {
-      if (bits_equal(it->second.first, value)) return merge_outcome::duplicate;
-      ++stats_.merge_conflicts;
-      return merge_outcome::conflict;
-    }
-    lru_.emplace_front(entry_kind::value, key);
-    values_.emplace(key, std::make_pair(value, lru_.begin()));
-    ++stats_.merged_entries;
-    evict_overflow();
-    observer = observer_;
-  }
-  if (observer != nullptr) (*observer)(key, nullptr, &value);
-  return merge_outcome::inserted;
+  return insert(values_, entry_kind::value, std::move(key), value, true);
 }
 
 void solve_cache::set_write_observer(write_observer observer) {
@@ -258,28 +262,50 @@ std::string scenario_cache_key(const scenario& sc, const dataset_slice& slice,
                                const diffusion_model& model) {
   // Name + content fingerprint: a colliding slice name in another
   // context must not alias this slice's entries.
-  std::string key = "slice=" + slice.name + '#' +
-                    std::to_string(slice.fingerprint) + "|model=" + sc.model;
+  std::string key = "slice=";
+  key += slice.name;
+  key += '#';
+  key += std::to_string(slice.fingerprint);
+  key += "|model=";
+  key += sc.model;
   key += "|scheme=";
   key += model.uses_scheme() ? core::to_string(sc.scheme) : "-";
   key += "|grid=";
   key += model.uses_grid() ? std::to_string(sc.points_per_unit) : "0";
   key += "|dt=";
-  key += model.uses_scheme() ? format_full_precision(sc.dt) : "0";
+  if (model.uses_scheme()) {
+    append_full_precision(key, sc.dt);
+  } else {
+    key += '0';
+  }
   key += "|rate=";
   key += model.uses_rate() ? resolve_rate_spec(sc.rate, slice.metric) : "-";
-  key += "|t0=" + format_full_precision(sc.t0) + "|t_end=" + format_full_precision(sc.t_end);
-  key += "|seed=" + std::to_string(sc.seed);
-  key += "|d=";
-  key += std::isnan(sc.d_override) ? "-" : format_full_precision(sc.d_override);
-  key += "|k=";
-  key += std::isnan(sc.k_override) ? "-" : format_full_precision(sc.k_override);
+  key += "|t0=";
+  append_full_precision(key, sc.t0);
+  key += "|t_end=";
+  append_full_precision(key, sc.t_end);
+  key += "|seed=";
+  key += std::to_string(sc.seed);
+  // The (d, K) overrides: "-" when unset.
+  const auto append_override = [&key](const char* name, double value) {
+    key += name;
+    if (std::isnan(value)) {
+      key += '-';
+    } else {
+      append_full_precision(key, value);
+    }
+  };
+  append_override("|d=", sc.d_override);
+  append_override("|k=", sc.k_override);
   // Canonical domain label, appended only for a non-line domain on a
   // domain-capable model — 1-D keys stay byte-identical to every release
   // before the domain axis existed, so persistent caches keep hitting.
   if (model.supports_domain()) {
     const core::domain dom = make_domain(sc.domain);
-    if (!dom.is_line()) key += "|domain=" + dom.label();
+    if (!dom.is_line()) {
+      key += "|domain=";
+      key += dom.label();
+    }
   }
   return key;
 }

@@ -20,7 +20,9 @@
 // report how many PDE solves were real vs served from cache.  The cache
 // is unbounded by default; constructing it with `max_entries > 0` caps
 // the combined trace + value count with least-recently-used eviction
-// (finds refresh recency, evictions are counted in the stats).
+// (finds refresh recency, evictions are counted in the stats).  Only a
+// capped cache keeps the recency list: an uncapped one never evicts, so
+// it stores each key once and a hit is one hash lookup under the mutex.
 #pragma once
 
 #include <cstddef>
@@ -113,10 +115,10 @@ class solve_cache {
   /// Bulk-inserts a loaded entry.  Same semantics as the store_*
   /// methods (first insert wins, the LRU cap applies) but takes the
   /// shared trace directly — loading a file is not a hit or a miss, so
-  /// no lookup statistic moves.
-  void import_trace(const std::string& key,
-                    std::shared_ptr<const model_trace> trace);
-  void import_value(const std::string& key, double value);
+  /// no lookup statistic moves.  The key is taken by value, so a loader
+  /// moves its parsed key into the cache instead of copying it.
+  void import_trace(std::string key, std::shared_ptr<const model_trace> trace);
+  void import_value(std::string key, double value);
 
   /// Counts one rejected load attempt (see cache_stats::load_rejected);
   /// called by the cache_io loader, never by the cache itself.
@@ -136,9 +138,9 @@ class solve_cache {
   /// contract) from a conflict (same key, different bits), and counts
   /// merged_entries / merge_conflicts accordingly.  The LRU cap applies
   /// to inserted entries as usual.
-  merge_outcome merge_trace(const std::string& key,
+  merge_outcome merge_trace(std::string key,
                             std::shared_ptr<const model_trace> trace);
-  merge_outcome merge_value(const std::string& key, double value);
+  merge_outcome merge_value(std::string key, double value);
 
   /// Write observation hook — the wiring the cache journal
   /// (engine/cache_journal.h) uses to append every winning insert as it
@@ -155,10 +157,32 @@ class solve_cache {
   void set_write_observer(write_observer observer);
 
  private:
-  /// Recency list: most recently used at the front.  Each node remembers
-  /// which map owns its key so eviction can erase the right entry.
+  /// Recency list of a capped cache: most recently used at the front.
+  /// Each node remembers which map owns its key so eviction can erase the
+  /// right entry.  Empty while uncapped.
   enum class entry_kind { trace, value };
   using lru_list = std::list<std::pair<entry_kind, std::string>>;
+
+  /// A stored payload and, under a cap, its recency node (a
+  /// value-initialized iterator, never dereferenced, while uncapped).
+  template <class Payload>
+  struct entry {
+    explicit entry(Payload p) : payload(std::move(p)) {}
+    Payload payload;
+    lru_list::iterator recency{};
+  };
+
+  /// Counts the hit or miss of `key` and, under a cap, refreshes its
+  /// recency.  Caller must hold the mutex.
+  template <class Map>
+  typename Map::mapped_type* find_locked(Map& map, const std::string& key);
+
+  /// The insert path of store/import/merge: first insert wins.  With
+  /// `merging` an insert counts merged_entries, and an existing key is a
+  /// bitwise duplicate or a conflict (counted in merge_conflicts).
+  template <class Map, class Payload>
+  merge_outcome insert(Map& map, entry_kind kind, std::string key,
+                       Payload payload, bool merging);
 
   /// Drops least-recently-used entries until the cap holds.  Caller must
   /// hold the mutex.
@@ -167,12 +191,9 @@ class solve_cache {
   mutable std::mutex mutex_;
   std::size_t max_entries_ = 0;
   lru_list lru_;
-  std::unordered_map<std::string,
-                     std::pair<std::shared_ptr<const model_trace>,
-                               lru_list::iterator>>
+  std::unordered_map<std::string, entry<std::shared_ptr<const model_trace>>>
       traces_;
-  std::unordered_map<std::string, std::pair<double, lru_list::iterator>>
-      values_;
+  std::unordered_map<std::string, entry<double>> values_;
   cache_stats stats_;
   /// Swapped atomically under the mutex, invoked outside it: an insert
   /// snapshots the shared_ptr while locked and calls through it after

@@ -16,13 +16,18 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <array>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <optional>
+#include <stop_token>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/cache_journal.h"
@@ -757,6 +762,132 @@ TEST(CacheIo, PersistentCacheLoadsOnConstructionAndSavesOnDestruction) {
     EXPECT_NE(persist.cache().find_trace("t"), nullptr);
   }
   std::filesystem::remove(path);
+}
+
+// --------------------------------------------------- streamed snapshot
+//
+// save_cache streams the snapshot to its temp file through the same
+// writer serialize_cache keeps in memory, hashing each section as it
+// passes and patching the section header afterwards.  The file must be
+// serialize_cache's bytes exactly: for caches that fit in one write
+// block, and for one whose sections span many, so each header is
+// patched after it already reached the file.
+
+std::filesystem::path snapshot_test_path(const std::string& tag) {
+  return std::filesystem::temp_directory_path() /
+         ("dlm_snapshot_test_" + tag + "_" + std::to_string(::getpid()) +
+          ".bin");
+}
+
+void expect_saved_bytes_are_serialized_bytes(const solve_cache& cache,
+                                             const std::string& label) {
+  const std::filesystem::path path = snapshot_test_path(label);
+  save_cache(cache, path);
+  EXPECT_EQ(read_file(path), serialize_cache(cache)) << label;
+  EXPECT_FALSE(std::filesystem::exists(path.string() + ".tmp")) << label;
+  std::filesystem::remove(path);
+}
+
+TEST(CacheIo, SavedFileIsSerializeCacheByteForByte) {
+  const solve_cache empty;
+  expect_saved_bytes_are_serialized_bytes(empty, "empty");
+
+  solve_cache sample;
+  fill_sample_cache(sample);
+  expect_saved_bytes_are_serialized_bytes(sample, "sample");
+
+  // A NaN value and a 2-D trace: a non-line domain label riding a dense
+  // distances x hours blob.
+  model_trace sheet;
+  sheet.domain = "grid2d:1,4";
+  for (int x = 1; x <= 6; ++x) sheet.distances.push_back(x);
+  sheet.times = {2.0, 3.0, 4.0, 5.0, 6.0};
+  sheet.predicted.resize(sheet.distances.size());
+  for (std::size_t i = 0; i < sheet.predicted.size(); ++i)
+    for (std::size_t j = 0; j < sheet.times.size(); ++j)
+      sheet.predicted[i].push_back(1.0 /
+                                   (static_cast<double>(i * 5 + j) + 3.0));
+  sheet.effective_dt = 0.02;
+  solve_cache odd;
+  odd.store_value("value/nan", std::numeric_limits<double>::quiet_NaN());
+  odd.store_trace("trace/sheet", sheet);
+  expect_saved_bytes_are_serialized_bytes(odd, "nan_and_sheet");
+
+  // Both sections many times the 64 KiB write block.
+  solve_cache large;
+  for (int i = 0; i < 3000; ++i) {
+    large.store_trace("trace/" + std::to_string(i), sample_trace(i));
+    large.store_value("value/" + std::string(200, 'k') + std::to_string(i),
+                      i / 7.0);
+  }
+  expect_saved_bytes_are_serialized_bytes(large, "large");
+}
+
+TEST(CacheIo, SavesDuringConcurrentStoresHoldEveryEarlierKey) {
+  // Four writers store values while this thread saves ten times: every
+  // saved file must load, and must hold every key stored before its save
+  // began.  Runs under TSan (ctest -L tsan).
+  constexpr std::size_t kWriters = 4;
+  constexpr std::size_t kMaxPerWriter = 10000;
+  const auto key = [](std::size_t writer, std::size_t n) {
+    return "writer" + std::to_string(writer) + "/" + std::to_string(n);
+  };
+  solve_cache cache;
+  // Keys 0 .. stored[w] - 1 of writer w are in the cache.
+  std::array<std::atomic<std::size_t>, kWriters> stored{};
+  std::vector<std::jthread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w](const std::stop_token& stop) {
+      for (std::size_t n = 0; n < kMaxPerWriter && !stop.stop_requested();
+           ++n) {
+        cache.store_value(key(w, n), static_cast<double>(n));
+        stored[w].store(n + 1, std::memory_order_release);
+      }
+    });
+  for (const std::atomic<std::size_t>& count : stored)
+    while (count.load(std::memory_order_acquire) == 0)
+      std::this_thread::yield();
+
+  const std::filesystem::path path = snapshot_test_path("concurrent");
+  for (int save = 0; save < 10; ++save) {
+    std::array<std::size_t, kWriters> before{};
+    for (std::size_t w = 0; w < kWriters; ++w)
+      before[w] = stored[w].load(std::memory_order_acquire);
+    save_cache(cache, path);
+
+    solve_cache loaded;
+    const cache_load_result result = load_cache(loaded, path);
+    ASSERT_TRUE(result.loaded) << "save " << save << ": " << result.error;
+    for (std::size_t w = 0; w < kWriters; ++w)
+      for (std::size_t n = 0; n < before[w]; ++n) {
+        const std::optional<double> hit = loaded.find_value(key(w, n));
+        ASSERT_TRUE(hit.has_value())
+            << "save " << save << " lost " << key(w, n);
+        EXPECT_EQ(*hit, static_cast<double>(n));
+      }
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(CacheIo, ADirectoryPathIsARejectionNamingItNotAnException) {
+  const std::filesystem::path dir = snapshot_test_path("directory");
+  std::filesystem::create_directories(dir);
+  solve_cache cache;
+  cache.store_value("keep", 1.0);
+
+  cache_load_result result;
+  ASSERT_NO_THROW(result = load_cache(cache, dir));
+  EXPECT_FALSE(result.loaded);
+  EXPECT_FALSE(result.file_missing);
+  EXPECT_NE(result.error.find(dir.string()), std::string::npos) << result.error;
+  EXPECT_EQ(cache.stats().load_rejected, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.find_value("keep"), 1.0);
+
+  // A save could never replace it either, and the startup probe says so.
+  const std::string probe = probe_cache_writable(dir);
+  EXPECT_NE(probe.find(dir.string()), std::string::npos) << probe;
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -450,6 +450,58 @@ TEST(CacheMerge, AMissingInputThrowsAndLeavesTheTargetUntouched) {
   std::filesystem::remove(good);
 }
 
+/// Merging `inputs` into a one-entry target must throw a runtime_error
+/// that names `bad` (and mentions `reason`), and leave the target as it
+/// was — the good inputs come first, so all-or-nothing is what is tested.
+void expect_merge_rejects(const std::vector<std::filesystem::path>& inputs,
+                          const std::filesystem::path& bad,
+                          const std::string& reason) {
+  engine::solve_cache target;
+  (void)target.merge_value("probe:kept", 9.0);
+  const std::string before = engine::serialize_cache(target);
+  try {
+    (void)engine::merge_cache_files(target, inputs);
+    ADD_FAILURE() << "a bad input '" << bad.string() << "' was accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(bad.string()), std::string::npos) << what;
+    EXPECT_NE(what.find(reason), std::string::npos) << what;
+  }
+  EXPECT_EQ(engine::serialize_cache(target), before);
+}
+
+TEST(CacheMerge, ADirectoryInputThrowsNamingItAndLeavesTheTargetUntouched) {
+  engine::solve_cache source;
+  (void)source.merge_value("probe:other", 1.0);
+  const std::filesystem::path good = temp_path("dir_good.cache");
+  engine::save_cache(source, good);
+  const std::filesystem::path dir = temp_path("dir_input.cache");
+  std::filesystem::create_directories(dir);
+
+  expect_merge_rejects({good, dir}, dir, "not a regular file");
+  std::filesystem::remove(good);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CacheMerge, ACorruptInputThrowsNamingItAndLeavesTheTargetUntouched) {
+  // One flipped payload bit: the section checksum no longer matches.
+  engine::solve_cache source;
+  (void)source.merge_value("probe:other", 1.0);
+  const std::filesystem::path good = temp_path("flip_good.cache");
+  engine::save_cache(source, good);
+  const std::filesystem::path flipped = temp_path("flip_bad.cache");
+  std::string bytes = engine::serialize_cache(source);
+  bytes.back() ^= 0x01;  // the last byte of the value payload
+  {
+    std::ofstream out(flipped, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+
+  expect_merge_rejects({good, flipped}, flipped, "checksum mismatch");
+  std::filesystem::remove(good);
+  std::filesystem::remove(flipped);
+}
+
 // --------------------------------------------------- loud cache failure
 
 TEST(PersistentCache, UnwritablePathFailsLoudlyAndUpFront) {
