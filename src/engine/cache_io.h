@@ -113,18 +113,23 @@ cache_load_result deserialize_cache(solve_cache& cache,
                                     std::string_view bytes);
 
 /// Writes the cache to `path` atomically (temp file + rename), so a
-/// reader never observes a half-written cache.  Throws
-/// std::runtime_error on I/O failure.
+/// reader never observes a half-written cache.  The entries stream to
+/// the temp file a block at a time, so a save holds the sorted entry
+/// snapshot but never the whole file; the bytes equal serialize_cache's.
+/// Throws std::runtime_error on I/O failure.
 void save_cache(const solve_cache& cache, const std::filesystem::path& path);
 
-/// Reads `path` and imports it into `cache` (see deserialize_cache).  A
-/// missing file reports file_missing without counting a rejection.
+/// Reads `path` in one call and imports it into `cache` (see
+/// deserialize_cache).  A missing file reports file_missing without
+/// counting a rejection; a path that is not a regular file (a
+/// directory) is a rejection naming the path.
 cache_load_result load_cache(solve_cache& cache,
                              const std::filesystem::path& path);
 
 /// Checks that save_cache(path) would succeed *now*, by opening (and, if
 /// newly created, removing) the same "<path>.tmp" file save_cache
-/// writes.  Returns an empty string when writable, otherwise a
+/// writes, and by refusing an existing `path` that is not a regular
+/// file.  Returns an empty string when writable, otherwise a
 /// diagnostic naming the path — so a tool can refuse a doomed
 /// --cache-file at startup instead of discovering the unwritable
 /// directory after a long sweep.
@@ -146,12 +151,12 @@ struct cache_merge_result {
 };
 
 /// Merges the cache files of N sweep shards into `into`, in input
-/// order: every file is loaded and verified *first* (checksums, bounds —
-/// the usual adversarial loader), then entries are merged through
-/// solve_cache::merge_trace/merge_value with canonical-key dedup and
-/// bitwise conflict detection.  All-or-nothing across files: a missing
-/// or rejected input throws std::runtime_error naming it, with `into`
-/// untouched.  Because shard caches hold exactly the entries their
+/// order: every file is read, verified and parsed *first* (checksums,
+/// bounds — the usual adversarial loader), then the parsed entries are
+/// merged through solve_cache::merge_trace/merge_value with
+/// canonical-key dedup and bitwise conflict detection.  All-or-nothing
+/// across files: a missing or rejected input throws std::runtime_error
+/// naming it, with `into` untouched.  Because shard caches hold exactly the entries their
 /// shard's scenarios produced — under canonical keys, serialized
 /// key-sorted — merging every shard of a partition reproduces the
 /// unsharded run's cache file byte for byte.
