@@ -55,11 +55,11 @@ int main() {
     const engine::result_row& row = result.table.row(i);
     const engine::model_trace& trace = result.traces[i];
     double deviation = 0.0;
-    const std::size_t last = trace.times.size() - 1;
-    for (std::size_t x = 0; x < trace.distances.size(); ++x) {
-      const double ref = ctx.slice(0).actual_at(trace.distances[x], horizon);
+    const std::size_t last = trace.times().size() - 1;
+    for (std::size_t x = 0; x < trace.distances().size(); ++x) {
+      const double ref = ctx.slice(0).actual_at(trace.distances()[x], horizon);
       deviation = std::max(deviation,
-                           std::abs(trace.predicted[x][last] - ref));
+                           std::abs(trace.predicted(x)[last] - ref));
     }
     std::printf("%-8zu %-8g %-14.3e %-10.4f %.2f\n", row.points_per_unit,
                 row.dt, deviation, row.accuracy, row.wall_ms);

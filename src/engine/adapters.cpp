@@ -40,12 +40,10 @@ std::vector<double> diffusion_model::evaluation_times(
 namespace {
 
 model_trace make_trace(const scenario& sc, const dataset_slice& slice) {
-  model_trace trace;
-  for (int x = 1; x <= slice.max_distance; ++x) trace.distances.push_back(x);
-  trace.times = diffusion_model::evaluation_times(sc, slice);
-  trace.predicted.assign(trace.distances.size(),
-                         std::vector<double>(trace.times.size(), 0.0));
-  return trace;
+  std::vector<int> distances(static_cast<std::size_t>(
+      std::max(slice.max_distance, 0)));
+  std::iota(distances.begin(), distances.end(), 1);
+  return {distances, diffusion_model::evaluation_times(sc, slice)};
 }
 
 }  // namespace
@@ -97,7 +95,7 @@ std::vector<model_trace> dl_adapter::solve_batch(
     requests.push_back({.params = &p,
                         .phi = &phis.back(),
                         .t0 = sc.t0,
-                        .t_end = trace.times.back(),
+                        .t_end = trace.times().back(),
                         .options = options});
   }
 
@@ -112,11 +110,11 @@ std::vector<model_trace> dl_adapter::solve_batch(
     model_trace& trace = traces[s];
     const int lo = static_cast<int>(std::lround(params[s].x_min));
     const int hi = static_cast<int>(std::lround(params[s].x_max));
-    std::vector<double> profile(trace.distances.size());
-    for (std::size_t j = 0; j < trace.times.size(); ++j) {
-      solutions[s].at_integer_distances(trace.times[j], lo, hi, profile);
-      for (std::size_t i = 0; i < trace.distances.size(); ++i)
-        trace.predicted[i][j] = profile[i];
+    std::vector<double> profile(trace.distances().size());
+    for (std::size_t j = 0; j < trace.times().size(); ++j) {
+      solutions[s].at_integer_distances(trace.times()[j], lo, hi, profile);
+      for (std::size_t i = 0; i < profile.size(); ++i)
+        trace.predicted(i)[j] = profile[i];
     }
   }
   return traces;
@@ -135,11 +133,11 @@ model_trace heat_adapter::solve(const scenario& sc,
       static_cast<std::size_t>(slice.max_distance - 1) * sc.points_per_unit + 1;
   const std::vector<double> samples = phi.sample(lower, upper, nodes);
 
-  for (std::size_t j = 0; j < trace.times.size(); ++j) {
+  for (std::size_t j = 0; j < trace.times().size(); ++j) {
     const std::vector<double> profile = models::heat_neumann_series(
-        samples, lower, upper, slice.base_params.d, trace.times[j] - sc.t0);
-    for (std::size_t i = 0; i < trace.distances.size(); ++i)
-      trace.predicted[i][j] = profile[i * sc.points_per_unit];
+        samples, lower, upper, slice.base_params.d, trace.times()[j] - sc.t0);
+    for (std::size_t i = 0; i < trace.distances().size(); ++i)
+      trace.predicted(i)[j] = profile[i * sc.points_per_unit];
   }
   return trace;
 }
@@ -159,13 +157,13 @@ model_trace global_logistic_adapter::solve(const scenario& sc,
       std::accumulate(hour0.begin(), hour0.end(), 0.0) /
       static_cast<double>(hour0.size());
 
-  for (std::size_t j = 0; j < trace.times.size(); ++j) {
+  for (std::size_t j = 0; j < trace.times().size(); ++j) {
     const double integrated =
-        rate.integral(sc.t0, trace.times[j], slice.base_params.x_min);
+        rate.integral(sc.t0, trace.times()[j], slice.base_params.x_min);
     const double value =
         models::logistic_step(n0, integrated, slice.base_params.k);
-    for (std::size_t i = 0; i < trace.distances.size(); ++i)
-      trace.predicted[i][j] = value;
+    for (std::size_t i = 0; i < trace.distances().size(); ++i)
+      trace.predicted(i)[j] = value;
   }
   return trace;
 }
@@ -190,10 +188,10 @@ model_trace per_distance_logistic_adapter::solve(
       slice.profile_at(static_cast<int>(sc.t0)), sc.t0, slice.base_params.k,
       std::move(rates));
 
-  for (std::size_t j = 0; j < trace.times.size(); ++j) {
-    const std::vector<double> profile = model.predict(trace.times[j]);
-    for (std::size_t i = 0; i < trace.distances.size(); ++i)
-      trace.predicted[i][j] = profile[i];
+  for (std::size_t j = 0; j < trace.times().size(); ++j) {
+    const std::vector<double> profile = model.predict(trace.times()[j]);
+    for (std::size_t i = 0; i < trace.distances().size(); ++i)
+      trace.predicted(i)[j] = profile[i];
   }
   return trace;
 }
@@ -207,18 +205,18 @@ model_trace si_adapter::solve(const scenario& sc,
 
   models::si_params params;
   params.beta = beta;
-  params.steps = static_cast<int>(trace.times.back());
+  params.steps = static_cast<int>(trace.times().back());
   num::rng rand(sc.seed);
   const models::si_trace si =
       models::run_si(*slice.followers, slice.initiator, params, rand);
   const std::vector<std::vector<double>> density =
       models::si_density_by_distance(si, *slice.partition, params.steps);
 
-  for (std::size_t i = 0; i < trace.distances.size(); ++i) {
+  for (std::size_t i = 0; i < trace.distances().size(); ++i) {
     if (i >= density.size()) break;  // partition may cover fewer groups
-    for (std::size_t j = 0; j < trace.times.size(); ++j) {
-      const auto step = static_cast<std::size_t>(trace.times[j]) - 1;
-      if (step < density[i].size()) trace.predicted[i][j] = density[i][step];
+    for (std::size_t j = 0; j < trace.times().size(); ++j) {
+      const auto step = static_cast<std::size_t>(trace.times()[j]) - 1;
+      if (step < density[i].size()) trace.predicted(i)[j] = density[i][step];
     }
   }
   return trace;

@@ -63,22 +63,14 @@ std::uint64_t fnv1a(std::uint64_t hash, std::string_view bytes) {
 /// predicted blob), appended to `out`.
 void append_trace_entry(std::string& out, std::string_view key,
                         const model_trace& trace) {
-  const auto ragged = [key] {
-    return std::runtime_error("cache_io: trace '" + std::string(key) +
-                              "' has a ragged predicted surface");
-  };
-  if (trace.predicted.size() != trace.distances.size()) throw ragged();
   put_string(out, key);
   put_string(out, trace.domain);
-  put_u32(out, static_cast<std::uint32_t>(trace.distances.size()));
-  for (const int d : trace.distances) put_i32(out, d);
-  put_u32(out, static_cast<std::uint32_t>(trace.times.size()));
-  for (const double t : trace.times) put_f64(out, t);
+  put_u32(out, static_cast<std::uint32_t>(trace.distances().size()));
+  for (const int d : trace.distances()) put_i32(out, d);
+  put_u32(out, static_cast<std::uint32_t>(trace.times().size()));
+  for (const double t : trace.times()) put_f64(out, t);
   put_f64(out, trace.effective_dt);
-  for (const std::vector<double>& row : trace.predicted) {
-    if (row.size() != trace.times.size()) throw ragged();
-    for (const double v : row) put_f64(out, v);
-  }
+  for (const double v : trace.values()) put_f64(out, v);
 }
 
 void append_value_entry(std::string& out, std::string_view key,
@@ -174,25 +166,21 @@ class snapshot_writer {
   std::uint64_t hash_ = kFnvOffsetBasis;
 };
 
-/// Both sections, entries in key order.  Each export is a sorted
-/// snapshot taken under the cache mutex, so concurrent inserts never
-/// block on the write.
+/// Both sections, entries in key order, written straight from the live
+/// entries: the sorted view holds the cache's lock shared for the whole
+/// walk, so finds continue during a save and inserts wait for it.
 void write_snapshot(const solve_cache& cache, snapshot_writer& writer) {
-  {
-    const std::vector<solve_cache::trace_export> traces =
-        cache.export_traces();
-    writer.begin_section(kTraceSectionTag);
-    put_u64(writer.buffer(), traces.size());
-    for (const solve_cache::trace_export& entry : traces) {
-      append_trace_entry(writer.buffer(), entry.key, *entry.trace);
-      writer.entry_done();
-    }
-    writer.end_section();
+  const solve_cache::sorted_view entries = cache.sorted_entries();
+  writer.begin_section(kTraceSectionTag);
+  put_u64(writer.buffer(), entries.traces().size());
+  for (const solve_cache::trace_ref& entry : entries.traces()) {
+    append_trace_entry(writer.buffer(), entry.key, *entry.trace);
+    writer.entry_done();
   }
-  const std::vector<solve_cache::value_export> values = cache.export_values();
+  writer.end_section();
   writer.begin_section(kValueSectionTag);
-  put_u64(writer.buffer(), values.size());
-  for (const solve_cache::value_export& entry : values) {
+  put_u64(writer.buffer(), entries.values().size());
+  for (const solve_cache::value_ref& entry : entries.values()) {
     append_value_entry(writer.buffer(), entry.key, entry.value);
     writer.entry_done();
   }
@@ -271,38 +259,38 @@ struct parsed_file {
 
 /// Parses one trace entry at `r`'s cursor — the shared step of the
 /// snapshot section parser and the journal record decoder
-/// (decode_trace_entry).  Returns an error message or empty.
+/// (decode_trace_entry).  The axes are read into per-thread buffers and
+/// interned, so a load allocates only the axes it has not seen.  Returns
+/// an error message or empty.
 std::string parse_one_trace(reader& r, std::string& key, model_trace& trace) {
+  thread_local std::vector<int> distances;
+  thread_local std::vector<double> times;
   const std::uint32_t key_len = r.get_u32();
   if (key_len > r.remaining()) return "trace key overruns section";
   key = std::string(r.get_bytes(key_len));
   const std::uint32_t domain_len = r.get_u32();
   if (!r.ok() || domain_len > r.remaining())
     return "trace domain overruns section";
-  trace.domain = std::string(r.get_bytes(domain_len));
+  std::string domain(r.get_bytes(domain_len));
   const std::uint32_t n_dist = r.get_u32();
   if (!r.ok() || n_dist > r.remaining() / 4)
     return "trace distance count overruns section";
-  trace.distances.reserve(n_dist);
-  for (std::uint32_t d = 0; d < n_dist; ++d)
-    trace.distances.push_back(r.get_i32());
+  distances.resize(n_dist);
+  for (int& d : distances) d = r.get_i32();
   const std::uint32_t n_times = r.get_u32();
   if (!r.ok() || n_times > r.remaining() / 8)
     return "trace time count overruns section";
-  trace.times.reserve(n_times);
-  for (std::uint32_t t = 0; t < n_times; ++t)
-    trace.times.push_back(r.get_f64());
-  trace.effective_dt = r.get_f64();
+  times.resize(n_times);
+  for (double& t : times) t = r.get_f64();
+  const double effective_dt = r.get_f64();
   const std::uint64_t cells =
       static_cast<std::uint64_t>(n_dist) * static_cast<std::uint64_t>(n_times);
   if (!r.ok() || cells > r.remaining() / 8)
     return "trace blob overruns section";
-  trace.predicted.resize(n_dist);
-  for (std::uint32_t d = 0; d < n_dist; ++d) {
-    trace.predicted[d].reserve(n_times);
-    for (std::uint32_t t = 0; t < n_times; ++t)
-      trace.predicted[d].push_back(r.get_f64());
-  }
+  trace = model_trace(distances, times);
+  trace.domain = std::move(domain);
+  trace.effective_dt = effective_dt;
+  for (double& v : trace.values()) v = r.get_f64();
   if (!r.ok()) return "truncated trace entry";
   return {};
 }
@@ -397,40 +385,6 @@ std::string parse_file(std::string_view bytes, parsed_file& out) {
   return {};
 }
 
-/// A cache file's bytes, read in one call.
-struct file_bytes {
-  std::string bytes;
-  bool missing = false;  ///< nothing at the path: a cold start
-  std::string error;     ///< why the path could not be read
-};
-
-file_bytes read_cache_file(const std::filesystem::path& path) {
-  file_bytes out;
-  std::error_code ec;
-  const std::filesystem::file_status status =
-      std::filesystem::status(path, ec);
-  if (status.type() == std::filesystem::file_type::not_found) {
-    out.missing = true;
-    return out;
-  }
-  // Only a regular file has a size to read up front: a directory opens
-  // as a stream but fails its first read, and tellg() reports garbage.
-  if (!std::filesystem::is_regular_file(status)) {
-    out.error = "cache path '" + path.string() + "' is not a regular file";
-    return out;
-  }
-  const std::uintmax_t size = std::filesystem::file_size(path, ec);
-  std::ifstream in(path, std::ios::binary);
-  if (!ec && in) {
-    out.bytes.resize(static_cast<std::size_t>(size));
-    if (in.read(out.bytes.data(), static_cast<std::streamsize>(size)))
-      return out;
-  }
-  out.bytes.clear();
-  out.error = "read of '" + path.string() + "' failed";
-  return out;
-}
-
 cache_load_result reject(solve_cache& cache, std::string error) {
   cache.count_load_rejected();
   cache_load_result result;
@@ -474,6 +428,33 @@ std::string decode_value_entry(std::string_view payload, std::string& key,
     return error;
   if (!r.at_end()) return "trailing bytes after value entry";
   return {};
+}
+
+cache_file_read read_cache_file(const std::filesystem::path& path) {
+  cache_file_read out;
+  std::error_code ec;
+  const std::filesystem::file_status status =
+      std::filesystem::status(path, ec);
+  if (status.type() == std::filesystem::file_type::not_found) {
+    out.missing = true;
+    return out;
+  }
+  // Only a regular file has a size to read up front: a directory opens
+  // as a stream but fails its first read, and tellg() reports garbage.
+  if (!std::filesystem::is_regular_file(status)) {
+    out.error = "cache path '" + path.string() + "' is not a regular file";
+    return out;
+  }
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  if (!ec && in) {
+    out.bytes.resize(static_cast<std::size_t>(size));
+    if (in.read(out.bytes.data(), static_cast<std::streamsize>(size)))
+      return out;
+  }
+  out.bytes.clear();
+  out.error = "read of '" + path.string() + "' failed";
+  return out;
 }
 
 std::string serialize_cache(const solve_cache& cache) {
@@ -531,7 +512,7 @@ void save_cache(const solve_cache& cache, const std::filesystem::path& path) {
 
 cache_load_result load_cache(solve_cache& cache,
                              const std::filesystem::path& path) {
-  file_bytes file = read_cache_file(path);
+  cache_file_read file = read_cache_file(path);
   if (file.missing) {
     // A missing file is a normal cold start, not a corrupt cache.
     cache_load_result result;
@@ -577,7 +558,7 @@ cache_merge_result merge_cache_files(
   for (std::size_t i = 0; i < paths.size(); ++i) {
     const std::string input =
         "merge_cache_files: input '" + paths[i].string() + "'";
-    file_bytes file = read_cache_file(paths[i]);
+    cache_file_read file = read_cache_file(paths[i]);
     if (file.missing) throw std::runtime_error(input + " does not exist");
     const std::string error = file.error.empty()
                                   ? parse_file(file.bytes, inputs[i])

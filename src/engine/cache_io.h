@@ -126,6 +126,21 @@ void save_cache(const solve_cache& cache, const std::filesystem::path& path);
 cache_load_result load_cache(solve_cache& cache,
                              const std::filesystem::path& path);
 
+/// A file's bytes, read in one call.
+struct cache_file_read {
+  std::string bytes;
+  bool missing = false;  ///< nothing at the path: a cold start
+  std::string error;     ///< why the path could not be read; names it
+};
+
+/// Reads `path` whole, sized by std::filesystem::file_size — the one
+/// reader behind load_cache, merge_cache_files and the journal's replay
+/// and open.  A missing path reports `missing`.  A path that is not a
+/// regular file (a directory), or a failed read, reports an error that
+/// names the path; nothing throws.
+[[nodiscard]] cache_file_read read_cache_file(
+    const std::filesystem::path& path);
+
 /// Checks that save_cache(path) would succeed *now*, by opening (and, if
 /// newly created, removing) the same "<path>.tmp" file save_cache
 /// writes, and by refusing an existing `path` that is not a regular

@@ -7,8 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <utility>
@@ -159,19 +157,18 @@ scan_result scan_journal(std::string_view bytes) {
 journal_replay_result replay_journal(solve_cache& cache,
                                      const std::filesystem::path& path) {
   journal_replay_result result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const cache_file_read file = read_cache_file(path);
+  if (file.missing) {
     result.replayed = true;  // a missing WAL is a normal cold start
     result.file_missing = true;
     return result;
   }
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) {
+  if (!file.error.empty()) {
     cache.count_load_rejected();
-    result.error = "read of '" + path.string() + "' failed";
+    result.error = file.error;
     return result;
   }
+  const std::string& bytes = file.bytes;
   result.file_bytes = bytes.size();
 
   const scan_result scan = scan_journal(bytes);
@@ -228,14 +225,10 @@ cache_journal::cache_journal(std::filesystem::path path, options opt)
     : path_(std::move(path)), opt_(opt) {
   // Scan whatever exists so a torn tail is truncated before appending;
   // a file that is not a journal at all must be left alone.
-  std::string existing;
-  {
-    std::ifstream in(path_, std::ios::binary);
-    if (in)
-      existing.assign((std::istreambuf_iterator<char>(in)),
-                      std::istreambuf_iterator<char>());
-  }
-  const scan_result scan = scan_journal(existing);
+  const cache_file_read existing = read_cache_file(path_);
+  if (!existing.error.empty())
+    throw std::runtime_error("cache_journal: " + existing.error);
+  const scan_result scan = scan_journal(existing.bytes);
   if (!scan.header_ok)
     throw std::runtime_error("cache_journal: '" + path_.string() +
                              "' is not a cache journal (" + scan.error + ")");

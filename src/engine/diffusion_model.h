@@ -8,6 +8,8 @@
 // density trace scored uniformly by the runner.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,18 +18,75 @@
 
 namespace dlm::engine {
 
-/// A model's predicted density surface over integer distances × hours.
-struct model_trace {
+/// The axes of a predicted surface.  Immutable once built, and shared:
+/// every trace of one slice and evaluation window points at one
+/// instance (see intern_axes).
+struct trace_axes {
   std::vector<int> distances;  ///< 1..max_distance of the slice
   std::vector<double> times;   ///< evaluated hours (t0+1 .. t_end)
-  /// predicted[i][j]: predicted density at distances[i], times[j].
-  std::vector<std::vector<double>> predicted;
+};
+
+/// Returns the live axes equal to (distances, times), or builds them.
+/// Times compare by bits.  The intern table holds weak references, so it
+/// never keeps axes alive by itself, and it drops expired entries as it
+/// grows: its size stays proportional to the axes some trace still uses.
+/// Thread-safe.
+[[nodiscard]] std::shared_ptr<const trace_axes> intern_axes(
+    std::span<const int> distances, std::span<const double> times);
+
+/// A model's predicted density surface over integer distances × hours.
+///
+/// The values live in one row-major allocation, and the axes are
+/// interned (intern_axes), so a resident trace costs one block for its
+/// values plus a share of its axes.  Copying a trace copies the values
+/// and shares the axes.
+class model_trace {
+ public:
+  /// An empty trace: no distances, no times.
+  model_trace() = default;
+  /// A zero-filled surface over interned axes.
+  model_trace(const std::vector<int>& distances,
+              const std::vector<double>& times);
+  /// A zero-filled surface over axes already interned.
+  explicit model_trace(std::shared_ptr<const trace_axes> axes);
+
+  [[nodiscard]] std::span<const int> distances() const noexcept {
+    return axes_ ? std::span<const int>(axes_->distances)
+                 : std::span<const int>();
+  }
+  [[nodiscard]] std::span<const double> times() const noexcept {
+    return axes_ ? std::span<const double>(axes_->times)
+                 : std::span<const double>();
+  }
+  /// predicted(i)[j]: predicted density at distances()[i], times()[j].
+  [[nodiscard]] std::span<const double> predicted(std::size_t i) const noexcept {
+    const std::size_t cols = times().size();
+    return {values_.data() + i * cols, cols};
+  }
+  [[nodiscard]] std::span<double> predicted(std::size_t i) noexcept {
+    const std::size_t cols = times().size();
+    return {values_.data() + i * cols, cols};
+  }
+  /// Every value, row-major: distances().size() rows of times().size().
+  [[nodiscard]] std::span<const double> values() const noexcept {
+    return values_;
+  }
+  [[nodiscard]] std::span<double> values() noexcept { return values_; }
+  /// The shared axes; null for an empty default-constructed trace.
+  [[nodiscard]] const std::shared_ptr<const trace_axes>& axes() const noexcept {
+    return axes_;
+  }
+
   /// Time step the solver actually used — differs from scenario.dt when a
   /// scheme clamps for stability (FTCS).  0 for models without a dt.
   double effective_dt = 0.0;
   /// Canonical label of the domain the model solved on ("line" unless the
   /// model supports domains and the scenario asked for another one).
   std::string domain = "line";
+
+ private:
+  std::shared_ptr<const trace_axes> axes_;
+  std::vector<double> values_;
 };
 
 /// Abstract diffusion predictor.  Implementations must be stateless and

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -59,12 +60,15 @@ std::pair<double, std::size_t> score_trace(const model_trace& trace,
                                            const dataset_slice& slice) {
   double sum = 0.0;
   std::size_t cells = 0;
-  for (std::size_t i = 0; i < trace.distances.size(); ++i) {
-    for (std::size_t j = 0; j < trace.times.size(); ++j) {
-      const double actual = slice.actual_at(trace.distances[i],
-                                            static_cast<int>(trace.times[j]));
+  const std::span<const int> distances = trace.distances();
+  const std::span<const double> times = trace.times();
+  for (std::size_t i = 0; i < distances.size(); ++i) {
+    const std::span<const double> row = trace.predicted(i);
+    for (std::size_t j = 0; j < times.size(); ++j) {
+      const double actual =
+          slice.actual_at(distances[i], static_cast<int>(times[j]));
       if (actual <= 0.0) continue;
-      sum += core::prediction_accuracy(trace.predicted[i][j], actual);
+      sum += core::prediction_accuracy(row[j], actual);
       ++cells;
     }
   }

@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -175,19 +176,21 @@ std::string parse_request_args(const std::vector<std::string>& tokens,
 /// body): every double through format_full_precision, so two identical
 /// requests always read identical bytes.
 std::string format_trace(const model_trace& trace) {
-  std::string out = "ok trace rows=" + std::to_string(trace.distances.size()) +
-                    " cols=" + std::to_string(trace.times.size()) +
-                    " effective_dt=" + format_full_precision(trace.effective_dt);
+  std::string out =
+      "ok trace rows=" + std::to_string(trace.distances().size()) +
+      " cols=" + std::to_string(trace.times().size()) +
+      " effective_dt=" + format_full_precision(trace.effective_dt);
   // Appended only for non-line domains, so line responses keep their
   // historical byte-exact shape.
   if (trace.domain != "line") out += " domain=" + trace.domain;
   out += "\nx";
-  for (const int d : trace.distances) out += ' ' + std::to_string(d);
+  for (const int d : trace.distances()) out += ' ' + std::to_string(d);
   out += "\nt";
-  for (const double t : trace.times) out += ' ' + format_full_precision(t);
-  for (const std::vector<double>& row : trace.predicted) {
+  for (const double t : trace.times()) out += ' ' + format_full_precision(t);
+  for (std::size_t i = 0; i < trace.distances().size(); ++i) {
     out += "\np";
-    for (const double v : row) out += ' ' + format_full_precision(v);
+    for (const double v : trace.predicted(i))
+      out += ' ' + format_full_precision(v);
   }
   return out;
 }
@@ -570,17 +573,19 @@ std::string dl_service::handle_request(const std::string& payload,
     if (verb == "solve") return format_trace(*trace);
 
     // predict: one cell of the trace.
-    std::size_t row = trace->distances.size();
-    for (std::size_t i = 0; i < trace->distances.size(); ++i)
-      if (trace->distances[i] == args.x) row = i;
-    std::size_t col = trace->times.size();
-    for (std::size_t j = 0; j < trace->times.size(); ++j)
-      if (std::fabs(trace->times[j] - args.t) < 1e-9) col = j;
-    if (row == trace->distances.size() || col == trace->times.size())
+    const std::span<const int> distances = trace->distances();
+    const std::span<const double> times = trace->times();
+    std::size_t row = distances.size();
+    for (std::size_t i = 0; i < distances.size(); ++i)
+      if (distances[i] == args.x) row = i;
+    std::size_t col = times.size();
+    for (std::size_t j = 0; j < times.size(); ++j)
+      if (std::fabs(times[j] - args.t) < 1e-9) col = j;
+    if (row == distances.size() || col == times.size())
       return "err predict (x=" + std::to_string(args.x) +
              ", t=" + format_full_precision(args.t) +
              ") is outside the evaluated trace";
-    return "ok " + format_full_precision(trace->predicted[row][col]);
+    return "ok " + format_full_precision(trace->predicted(row)[col]);
   } catch (const std::exception& e) {
     return std::string("err ") + e.what();
   }

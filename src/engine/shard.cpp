@@ -7,6 +7,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -104,8 +105,8 @@ std::string_view require_field(const std::vector<std::string>& tokens,
   return *value;
 }
 
-/// Parses a "solve" reply (service.cpp's format_trace) back into a
-/// model_trace.
+}  // namespace
+
 model_trace parse_trace_reply(const std::string& reply) {
   std::vector<std::string_view> lines;
   {
@@ -125,35 +126,39 @@ model_trace parse_trace_reply(const std::string& reply) {
                                            reply);
   const std::size_t cols = parse_wire_size(require_field(head, "cols", reply),
                                            reply);
-  model_trace trace;
-  trace.effective_dt =
+  const double effective_dt =
       parse_wire_double(require_field(head, "effective_dt", reply), reply);
-  if (const std::optional<std::string_view> dom = find_field(head, "domain"))
-    trace.domain = std::string(*dom);
+  const std::optional<std::string_view> domain = find_field(head, "domain");
   if (lines.size() != 3 + rows) bad_reply(reply);
 
   const std::vector<std::string> xs = split_ws(lines[1]);
   if (xs.size() != rows + 1 || xs[0] != "x") bad_reply(reply);
+  std::vector<int> distances;
+  distances.reserve(rows);
   for (std::size_t i = 1; i < xs.size(); ++i)
-    trace.distances.push_back(
-        static_cast<int>(parse_wire_double(xs[i], reply)));
+    distances.push_back(static_cast<int>(parse_wire_double(xs[i], reply)));
 
   const std::vector<std::string> ts = split_ws(lines[2]);
   if (ts.size() != cols + 1 || ts[0] != "t") bad_reply(reply);
+  std::vector<double> times;
+  times.reserve(cols);
   for (std::size_t j = 1; j < ts.size(); ++j)
-    trace.times.push_back(parse_wire_double(ts[j], reply));
+    times.push_back(parse_wire_double(ts[j], reply));
 
+  model_trace trace(distances, times);
+  trace.effective_dt = effective_dt;
+  if (domain) trace.domain = std::string(*domain);
   for (std::size_t r = 0; r < rows; ++r) {
     const std::vector<std::string> ps = split_ws(lines[3 + r]);
     if (ps.size() != cols + 1 || ps[0] != "p") bad_reply(reply);
-    std::vector<double> row;
-    row.reserve(cols);
-    for (std::size_t j = 1; j < ps.size(); ++j)
-      row.push_back(parse_wire_double(ps[j], reply));
-    trace.predicted.push_back(std::move(row));
+    const std::span<double> row = trace.predicted(r);
+    for (std::size_t j = 0; j < cols; ++j)
+      row[j] = parse_wire_double(ps[j + 1], reply);
   }
   return trace;
 }
+
+namespace {
 
 /// A parsed "calibrate" reply ("ok fit d=... k=... ... rate=...").
 struct fit_reply {

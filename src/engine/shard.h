@@ -86,6 +86,12 @@ struct shard_spec {
     const model_registry& registry = default_registry(),
     std::size_t batch_width = 0);
 
+/// Parses a "solve" reply (the service's trace rendering) back into the
+/// trace it renders — the parser run_shard_remote scores.  Every double
+/// crosses the wire at full precision, so the parsed trace is bitwise
+/// the server's.  Throws std::runtime_error on a malformed reply.
+[[nodiscard]] model_trace parse_trace_reply(const std::string& reply);
+
 /// Connection-resilience knobs for run_shard_remote.
 struct remote_options {
   /// Retries after a *connection-level* failure (connect refused, server

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 
 #include "engine/format.h"
 
@@ -16,22 +17,20 @@ bool bits_equal(double a, double b) {
   return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
 }
 
-bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    if (!bits_equal(a[i], b[i])) return false;
-  return true;
+bool bits_equal(std::span<const double> a, std::span<const double> b) {
+  return std::ranges::equal(
+      a, b, [](double x, double y) { return bits_equal(x, y); });
 }
 
 bool traces_bitwise_equal(const model_trace& a, const model_trace& b) {
-  if (a.domain != b.domain || a.distances != b.distances ||
-      !bits_equal(a.effective_dt, b.effective_dt) ||
-      !bits_equal(a.times, b.times) ||
-      a.predicted.size() != b.predicted.size())
-    return false;
-  for (std::size_t i = 0; i < a.predicted.size(); ++i)
-    if (!bits_equal(a.predicted[i], b.predicted[i])) return false;
-  return true;
+  // Interned axes: equal content is usually the same allocation.
+  const bool same_axes =
+      a.axes() == b.axes() ||
+      (std::ranges::equal(a.distances(), b.distances()) &&
+       bits_equal(a.times(), b.times()));
+  return same_axes && a.domain == b.domain &&
+         bits_equal(a.effective_dt, b.effective_dt) &&
+         bits_equal(a.values(), b.values());
 }
 
 bool same_payload(const std::shared_ptr<const model_trace>& a,
@@ -69,17 +68,23 @@ void solve_cache::evict_overflow() {
 }
 
 template <class Map>
-typename Map::mapped_type* solve_cache::find_locked(Map& map,
-                                                    const std::string& key) {
-  const auto it = map.find(key);
-  if (it == map.end()) {
-    ++stats_.misses;
-    return nullptr;
+std::optional<typename Map::mapped_type::payload_type> solve_cache::find(
+    Map& map, const std::string& key) {
+  const auto counted = [this](bool hit) {
+    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+    return hit;
+  };
+  if (max_entries_ == 0) {  // fixed at construction: no recency to refresh
+    const std::shared_lock<std::shared_mutex> lock(mutex_);
+    const auto it = map.find(key);
+    if (!counted(it != map.end())) return std::nullopt;
+    return it->second.payload;
   }
-  ++stats_.hits;
-  if (max_entries_ != 0)
-    lru_.splice(lru_.begin(), lru_, it->second.recency);  // refresh recency
-  return &it->second;
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
+  const auto it = map.find(key);
+  if (!counted(it != map.end())) return std::nullopt;
+  lru_.splice(lru_.begin(), lru_, it->second.recency);  // refresh recency
+  return it->second.payload;
 }
 
 template <class Map, class Payload>
@@ -89,7 +94,7 @@ solve_cache::merge_outcome solve_cache::insert(Map& map, entry_kind kind,
   std::shared_ptr<const write_observer> observer;
   std::string observed_key;
   {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<std::shared_mutex> lock(mutex_);
     // try_emplace leaves key and payload untouched when the key exists.
     const auto [it, inserted] =
         map.try_emplace(std::move(key), std::move(payload));
@@ -121,9 +126,7 @@ solve_cache::merge_outcome solve_cache::insert(Map& map, entry_kind kind,
 
 std::shared_ptr<const model_trace> solve_cache::find_trace(
     const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto* hit = find_locked(traces_, key);
-  return hit != nullptr ? hit->payload : nullptr;
+  return find(traces_, key).value_or(nullptr);
 }
 
 void solve_cache::store_trace(const std::string& key, model_trace trace) {
@@ -137,10 +140,7 @@ void solve_cache::import_trace(std::string key,
 }
 
 std::optional<double> solve_cache::find_value(const std::string& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto* hit = find_locked(values_, key);
-  if (hit == nullptr) return std::nullopt;
-  return hit->payload;
+  return find(values_, key);
 }
 
 void solve_cache::store_value(const std::string& key, double value) {
@@ -151,34 +151,17 @@ void solve_cache::import_value(std::string key, double value) {
   (void)insert(values_, entry_kind::value, std::move(key), value, false);
 }
 
-std::vector<solve_cache::trace_export> solve_cache::export_traces() const {
-  std::vector<trace_export> out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(traces_.size());
-    for (const auto& [key, entry] : traces_)
-      out.push_back({key, entry.payload});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const trace_export& a, const trace_export& b) {
-              return a.key < b.key;
-            });
-  return out;
-}
-
-std::vector<solve_cache::value_export> solve_cache::export_values() const {
-  std::vector<value_export> out;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    out.reserve(values_.size());
-    for (const auto& [key, entry] : values_)
-      out.push_back({key, entry.payload});
-  }
-  std::sort(out.begin(), out.end(),
-            [](const value_export& a, const value_export& b) {
-              return a.key < b.key;
-            });
-  return out;
+solve_cache::sorted_view solve_cache::sorted_entries() const {
+  sorted_view view(mutex_);
+  view.traces_.reserve(traces_.size());
+  for (const auto& [key, entry] : traces_)
+    view.traces_.push_back({key, entry.payload.get()});
+  view.values_.reserve(values_.size());
+  for (const auto& [key, entry] : values_)
+    view.values_.push_back({key, entry.payload});
+  std::ranges::sort(view.traces_, {}, &trace_ref::key);
+  std::ranges::sort(view.values_, {}, &value_ref::key);
+  return view;
 }
 
 solve_cache::merge_outcome solve_cache::merge_trace(
@@ -196,31 +179,36 @@ void solve_cache::set_write_observer(write_observer observer) {
   auto shared =
       observer ? std::make_shared<const write_observer>(std::move(observer))
                : std::shared_ptr<const write_observer>();
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   observer_ = std::move(shared);
 }
 
 void solve_cache::count_load_rejected() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   ++stats_.load_rejected;
 }
 
 cache_stats solve_cache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
+  cache_stats out = stats_;
+  out.hits = hits_.load(std::memory_order_relaxed);
+  out.misses = misses_.load(std::memory_order_relaxed);
+  return out;
 }
 
 std::size_t solve_cache::size() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::shared_lock<std::shared_mutex> lock(mutex_);
   return traces_.size() + values_.size();
 }
 
 void solve_cache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<std::shared_mutex> lock(mutex_);
   traces_.clear();
   values_.clear();
   lru_.clear();
   stats_ = cache_stats{};
+  hits_.store(0, std::memory_order_relaxed);
+  misses_.store(0, std::memory_order_relaxed);
 }
 
 std::string resolve_rate_spec(const std::string& spec,

@@ -22,16 +22,28 @@
 // the combined trace + value count with least-recently-used eviction
 // (finds refresh recency, evictions are counted in the stats).  Only a
 // capped cache keeps the recency list: an uncapped one never evicts, so
-// it stores each key once and a hit is one hash lookup under the mutex.
+// it stores each key once and a hit is one hash lookup.
+//
+// One reader-writer lock guards the maps.  An uncapped find takes it
+// shared, so concurrent hits — a warm calibration's hundreds of probe
+// lookups fanned over the pool, several clients of one server — proceed
+// in parallel, and counts its hit or miss in a relaxed atomic.  Inserts,
+// clear() and every find on a capped cache (which splices the recency
+// list) take it exclusively.  A serialization walk (sorted_entries)
+// holds it shared: finds continue during a save, inserts wait for it.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -95,22 +107,43 @@ class solve_cache {
   }
   void clear();
 
-  /// One exported trace entry.  The shared_ptr aliases the live cache
-  /// entry, so snapshotting copies keys but no trace data.
-  struct trace_export {
-    std::string key;
-    std::shared_ptr<const model_trace> trace;
+  /// One live trace entry, as the serialization walk sees it.
+  struct trace_ref {
+    std::string_view key;
+    const model_trace* trace = nullptr;
   };
-  struct value_export {
-    std::string key;
+  /// One live value entry.
+  struct value_ref {
+    std::string_view key;
     double value = 0.0;
   };
 
-  /// Key-sorted snapshots of the cache content for serialization
+  /// The cache content in key order, for serialization
   /// (engine/cache_io.h): sorting makes identical content produce
-  /// identical file bytes regardless of insertion order.
-  [[nodiscard]] std::vector<trace_export> export_traces() const;
-  [[nodiscard]] std::vector<value_export> export_values() const;
+  /// identical file bytes regardless of insertion order.  The view points
+  /// into the live maps — it copies no key and no payload — and holds the
+  /// cache's lock shared for as long as it lives, so the entries cannot
+  /// move or go.  Finds on an uncapped cache proceed meanwhile; inserts,
+  /// clear() and capped finds wait until the view is destroyed, so the
+  /// thread holding a view must not call them.
+  class sorted_view {
+   public:
+    [[nodiscard]] std::span<const trace_ref> traces() const noexcept {
+      return traces_;
+    }
+    [[nodiscard]] std::span<const value_ref> values() const noexcept {
+      return values_;
+    }
+
+   private:
+    friend class solve_cache;
+    explicit sorted_view(std::shared_mutex& mutex) : lock_(mutex) {}
+
+    std::shared_lock<std::shared_mutex> lock_;
+    std::vector<trace_ref> traces_;
+    std::vector<value_ref> values_;
+  };
+  [[nodiscard]] sorted_view sorted_entries() const;
 
   /// Bulk-inserts a loaded entry.  Same semantics as the store_*
   /// methods (first insert wins, the LRU cap applies) but takes the
@@ -146,7 +179,7 @@ class solve_cache {
   /// (engine/cache_journal.h) uses to append every winning insert as it
   /// happens.  Called once per *new* entry (store/import/merge alike;
   /// duplicates and conflicts do not fire), with exactly one of `trace`
-  /// / `value` non-null.  Invoked *outside* the cache mutex, so the
+  /// / `value` non-null.  Invoked *outside* the cache lock, so the
   /// observer may call back into the cache (e.g. a journal checkpoint
   /// serializing it) without deadlocking; consequently two concurrent
   /// inserts may observe in either order — the journal replays through
@@ -167,15 +200,18 @@ class solve_cache {
   /// value-initialized iterator, never dereferenced, while uncapped).
   template <class Payload>
   struct entry {
+    using payload_type = Payload;
     explicit entry(Payload p) : payload(std::move(p)) {}
     Payload payload;
     lru_list::iterator recency{};
   };
 
-  /// Counts the hit or miss of `key` and, under a cap, refreshes its
-  /// recency.  Caller must hold the mutex.
+  /// Looks `key` up and counts its hit or miss: under the shared lock
+  /// while uncapped, under the exclusive lock with a recency refresh
+  /// while capped.  Returns the payload or nullopt.
   template <class Map>
-  typename Map::mapped_type* find_locked(Map& map, const std::string& key);
+  std::optional<typename Map::mapped_type::payload_type> find(
+      Map& map, const std::string& key);
 
   /// The insert path of store/import/merge: first insert wins.  With
   /// `merging` an insert counts merged_entries, and an existing key is a
@@ -185,17 +221,22 @@ class solve_cache {
                        Payload payload, bool merging);
 
   /// Drops least-recently-used entries until the cap holds.  Caller must
-  /// hold the mutex.
+  /// hold the lock exclusively.
   void evict_overflow();
 
-  mutable std::mutex mutex_;
+  mutable std::shared_mutex mutex_;
   std::size_t max_entries_ = 0;
   lru_list lru_;
   std::unordered_map<std::string, entry<std::shared_ptr<const model_trace>>>
       traces_;
   std::unordered_map<std::string, entry<double>> values_;
+  /// Every counter but hits and misses; changed under the exclusive lock.
   cache_stats stats_;
-  /// Swapped atomically under the mutex, invoked outside it: an insert
+  /// Finds count here, relaxed, so a shared-lock hit writes no shared
+  /// state beyond these two words.  Kept off the lock's cache line.
+  alignas(64) std::atomic<std::size_t> hits_{0};
+  std::atomic<std::size_t> misses_{0};
+  /// Swapped atomically under the lock, invoked outside it: an insert
   /// snapshots the shared_ptr while locked and calls through it after
   /// unlocking, so set_write_observer never races a running callback's
   /// destruction.

@@ -156,7 +156,7 @@ std::vector<scheme_ablation_row> run_scheme_ablation(
       engine::run_sweep(context, scenarios, options);
 
   const engine::model_trace& ref_trace = result.traces.back();
-  const std::size_t last = ref_trace.times.size() - 1;
+  const std::size_t last = ref_trace.times().size() - 1;
   std::vector<scheme_ablation_row> rows;
   for (std::size_t i = 0; i < schemes.size(); ++i) {
     scheme_ablation_row row;
@@ -164,11 +164,11 @@ std::vector<scheme_ablation_row> run_scheme_ablation(
     row.overall_accuracy = result.table.row(i).accuracy;
     row.solve_ms = result.table.row(i).wall_ms;
     const engine::model_trace& trace = result.traces[i];
-    for (std::size_t x = 0; x < trace.distances.size(); ++x)
+    for (std::size_t x = 0; x < trace.distances().size(); ++x)
       row.deviation_vs_reference =
           std::max(row.deviation_vs_reference,
-                   std::abs(trace.predicted[x][last] -
-                            ref_trace.predicted[x][last]));
+                   std::abs(trace.predicted(x)[last] -
+                            ref_trace.predicted(x)[last]));
     rows.push_back(row);
   }
   return rows;
@@ -332,12 +332,12 @@ std::vector<resolution_row> run_resolution_ablation() {
     row.dt = levels[i].dt;
     row.solve_ms = result.table.row(i).wall_ms;
     const engine::model_trace& trace = result.traces[i];
-    const std::size_t last = trace.times.size() - 1;
-    for (std::size_t x = 0; x < trace.distances.size(); ++x) {
-      const double ref = context.slice(0).actual_at(trace.distances[x],
+    const std::size_t last = trace.times().size() - 1;
+    for (std::size_t x = 0; x < trace.distances().size(); ++x) {
+      const double ref = context.slice(0).actual_at(trace.distances()[x],
                                                     horizon);
       row.deviation = std::max(row.deviation,
-                               std::abs(trace.predicted[x][last] - ref));
+                               std::abs(trace.predicted(x)[last] - ref));
     }
     rows.push_back(row);
   }

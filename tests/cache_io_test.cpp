@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -39,16 +40,13 @@ using namespace dlm;
 using namespace dlm::engine;
 
 model_trace sample_trace(double seed) {
-  model_trace trace;
-  trace.distances = {1, 2, 3};
-  trace.times = {2.0, 3.0, 4.0, 5.0};
+  model_trace trace({1, 2, 3}, {2.0, 3.0, 4.0, 5.0});
   // Values with busy mantissas, so "bitwise identical" means more than
   // "short decimals survived".
-  trace.predicted.resize(trace.distances.size());
-  for (std::size_t i = 0; i < trace.predicted.size(); ++i)
-    for (std::size_t j = 0; j < trace.times.size(); ++j)
-      trace.predicted[i].push_back(seed / 3.0 +
-                                   static_cast<double>(i * 7 + j) / 9.7);
+  for (std::size_t i = 0; i < trace.distances().size(); ++i)
+    for (std::size_t j = 0; j < trace.times().size(); ++j)
+      trace.predicted(i)[j] =
+          seed / 3.0 + static_cast<double>(i * 7 + j) / 9.7;
   trace.effective_dt = 0.1 + 0.2;  // famously not 0.3
   return trace;
 }
@@ -68,21 +66,20 @@ std::string sample_bytes() {
 
 bool traces_bitwise_equal(const model_trace& a, const model_trace& b) {
   if (a.domain != b.domain) return false;
-  if (a.distances != b.distances) return false;
-  if (a.times.size() != b.times.size()) return false;
-  for (std::size_t j = 0; j < a.times.size(); ++j)
-    if (std::bit_cast<std::uint64_t>(a.times[j]) !=
-        std::bit_cast<std::uint64_t>(b.times[j]))
+  if (!std::ranges::equal(a.distances(), b.distances())) return false;
+  if (a.times().size() != b.times().size()) return false;
+  for (std::size_t j = 0; j < a.times().size(); ++j)
+    if (std::bit_cast<std::uint64_t>(a.times()[j]) !=
+        std::bit_cast<std::uint64_t>(b.times()[j]))
       return false;
   if (std::bit_cast<std::uint64_t>(a.effective_dt) !=
       std::bit_cast<std::uint64_t>(b.effective_dt))
     return false;
-  if (a.predicted.size() != b.predicted.size()) return false;
-  for (std::size_t i = 0; i < a.predicted.size(); ++i) {
-    if (a.predicted[i].size() != b.predicted[i].size()) return false;
-    for (std::size_t j = 0; j < a.predicted[i].size(); ++j)
-      if (std::bit_cast<std::uint64_t>(a.predicted[i][j]) !=
-          std::bit_cast<std::uint64_t>(b.predicted[i][j]))
+  for (std::size_t i = 0; i < a.distances().size(); ++i) {
+    if (a.predicted(i).size() != b.predicted(i).size()) return false;
+    for (std::size_t j = 0; j < a.predicted(i).size(); ++j)
+      if (std::bit_cast<std::uint64_t>(a.predicted(i)[j]) !=
+          std::bit_cast<std::uint64_t>(b.predicted(i)[j]))
         return false;
   }
   return true;
@@ -152,14 +149,15 @@ TEST(CacheIo, RoundTripIsBitwiseIdentical) {
   EXPECT_EQ(loaded.size(), 4u);
   EXPECT_EQ(loaded.stats().load_rejected, 0u);
 
-  for (const solve_cache::trace_export& entry : original.export_traces()) {
+  const solve_cache::sorted_view entries = original.sorted_entries();
+  for (const solve_cache::trace_ref& entry : entries.traces()) {
     const std::shared_ptr<const model_trace> hit =
-        loaded.find_trace(entry.key);
+        loaded.find_trace(std::string(entry.key));
     ASSERT_NE(hit, nullptr) << entry.key;
     EXPECT_TRUE(traces_bitwise_equal(*entry.trace, *hit)) << entry.key;
   }
-  for (const solve_cache::value_export& entry : original.export_values()) {
-    const std::optional<double> hit = loaded.find_value(entry.key);
+  for (const solve_cache::value_ref& entry : entries.values()) {
+    const std::optional<double> hit = loaded.find_value(std::string(entry.key));
     ASSERT_TRUE(hit.has_value()) << entry.key;
     EXPECT_EQ(std::bit_cast<std::uint64_t>(entry.value),
               std::bit_cast<std::uint64_t>(*hit))
@@ -292,14 +290,11 @@ TEST(CacheIo, V2RoundTripCarriesDomainLabelsAndA2dTraceBlob) {
   // A trace as the 2-D ADI domain solver produces it: a non-line domain
   // label riding a dense distances × hours blob.  Both must survive the
   // round trip bitwise.
-  model_trace sheet;
+  model_trace sheet({1, 2, 3, 4, 5, 6}, {2.0, 3.0, 4.0, 5.0, 6.0});
   sheet.domain = "grid2d:1,4";
-  for (int x = 1; x <= 6; ++x) sheet.distances.push_back(x);
-  sheet.times = {2.0, 3.0, 4.0, 5.0, 6.0};
-  sheet.predicted.resize(sheet.distances.size());
-  for (std::size_t i = 0; i < sheet.predicted.size(); ++i)
-    for (std::size_t j = 0; j < sheet.times.size(); ++j)
-      sheet.predicted[i].push_back(1.0 / (static_cast<double>(i * 5 + j) + 3.0));
+  for (std::size_t i = 0; i < sheet.distances().size(); ++i)
+    for (std::size_t j = 0; j < sheet.times().size(); ++j)
+      sheet.predicted(i)[j] = 1.0 / (static_cast<double>(i * 5 + j) + 3.0);
   sheet.effective_dt = 0.02;
 
   model_trace comm = sample_trace(4.0);
@@ -798,15 +793,11 @@ TEST(CacheIo, SavedFileIsSerializeCacheByteForByte) {
 
   // A NaN value and a 2-D trace: a non-line domain label riding a dense
   // distances x hours blob.
-  model_trace sheet;
+  model_trace sheet({1, 2, 3, 4, 5, 6}, {2.0, 3.0, 4.0, 5.0, 6.0});
   sheet.domain = "grid2d:1,4";
-  for (int x = 1; x <= 6; ++x) sheet.distances.push_back(x);
-  sheet.times = {2.0, 3.0, 4.0, 5.0, 6.0};
-  sheet.predicted.resize(sheet.distances.size());
-  for (std::size_t i = 0; i < sheet.predicted.size(); ++i)
-    for (std::size_t j = 0; j < sheet.times.size(); ++j)
-      sheet.predicted[i].push_back(1.0 /
-                                   (static_cast<double>(i * 5 + j) + 3.0));
+  for (std::size_t i = 0; i < sheet.distances().size(); ++i)
+    for (std::size_t j = 0; j < sheet.times().size(); ++j)
+      sheet.predicted(i)[j] = 1.0 / (static_cast<double>(i * 5 + j) + 3.0);
   sheet.effective_dt = 0.02;
   solve_cache odd;
   odd.store_value("value/nan", std::numeric_limits<double>::quiet_NaN());

@@ -86,13 +86,13 @@ std::string dump_traces(const std::vector<engine::model_trace>& traces) {
   };
   put_bits(traces.size());
   for (const engine::model_trace& trace : traces) {
-    put_bits(trace.distances.size());
-    for (int x : trace.distances) put_bits(static_cast<std::uint64_t>(x));
-    put_bits(trace.times.size());
-    for (double t : trace.times) put_f64(t);
+    put_bits(trace.distances().size());
+    for (int x : trace.distances()) put_bits(static_cast<std::uint64_t>(x));
+    put_bits(trace.times().size());
+    for (double t : trace.times()) put_f64(t);
     put_f64(trace.effective_dt);
-    for (const std::vector<double>& row : trace.predicted)
-      for (double v : row) put_f64(v);
+    for (std::size_t i = 0; i < trace.distances().size(); ++i)
+      for (double v : trace.predicted(i)) put_f64(v);
   }
   return out;
 }

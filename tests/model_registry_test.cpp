@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <vector>
 
 #include "engine/adapters.h"
 
@@ -59,12 +61,10 @@ TEST(ModelRegistry, CustomModelExtendsBuiltins) {
     [[nodiscard]] std::string name() const override { return "flat"; }
     [[nodiscard]] model_trace solve(
         const scenario& sc, const dataset_slice& slice) const override {
-      model_trace trace;
-      for (int x = 1; x <= slice.max_distance; ++x)
-        trace.distances.push_back(x);
-      trace.times = evaluation_times(sc, slice);
-      trace.predicted.assign(trace.distances.size(),
-                             std::vector<double>(trace.times.size(), 1.0));
+      std::vector<int> distances;
+      for (int x = 1; x <= slice.max_distance; ++x) distances.push_back(x);
+      model_trace trace(distances, evaluation_times(sc, slice));
+      std::ranges::fill(trace.values(), 1.0);
       return trace;
     }
   };

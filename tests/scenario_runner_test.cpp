@@ -129,9 +129,10 @@ TEST(ScenarioRunner, KeepTracesAlignsWithRows) {
   const sweep_result result = run_sweep(ctx, spec, options);
   ASSERT_EQ(result.traces.size(), result.table.size());
   const model_trace& trace = result.traces[0];
-  EXPECT_EQ(trace.distances.size(), 5u);
-  EXPECT_EQ(trace.times.size(), 7u);  // hours 2..8
-  EXPECT_EQ(trace.predicted.size(), trace.distances.size());
+  EXPECT_EQ(trace.distances().size(), 5u);
+  EXPECT_EQ(trace.times().size(), 7u);  // hours 2..8
+  EXPECT_EQ(trace.values().size(),
+            trace.distances().size() * trace.times().size());
 }
 
 TEST(ScenarioRunner, ErrorsInWorkersPropagateWithScenarioContext) {

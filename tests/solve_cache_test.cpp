@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "engine/model_registry.h"
 
 namespace {
@@ -10,10 +12,8 @@ using namespace dlm;
 using namespace dlm::engine;
 
 model_trace sample_trace(double value) {
-  model_trace trace;
-  trace.distances = {1, 2};
-  trace.times = {2.0, 3.0};
-  trace.predicted = {{value, value}, {value, value}};
+  model_trace trace({1, 2}, {2.0, 3.0});
+  std::ranges::fill(trace.values(), value);
   trace.effective_dt = 0.02;
   return trace;
 }
@@ -24,7 +24,7 @@ TEST(SolveCache, TraceStoreAndLookupCountsStats) {
   cache.store_trace("k", sample_trace(1.5));
   const std::shared_ptr<const model_trace> hit = cache.find_trace("k");
   ASSERT_NE(hit, nullptr);
-  EXPECT_DOUBLE_EQ(hit->predicted[0][0], 1.5);
+  EXPECT_DOUBLE_EQ(hit->predicted(0)[0], 1.5);
   const cache_stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
@@ -48,7 +48,7 @@ TEST(SolveCache, FirstInsertWins) {
   solve_cache cache;
   cache.store_trace("k", sample_trace(1.0));
   cache.store_trace("k", sample_trace(2.0));
-  EXPECT_DOUBLE_EQ(cache.find_trace("k")->predicted[0][0], 1.0);
+  EXPECT_DOUBLE_EQ(cache.find_trace("k")->predicted(0)[0], 1.0);
   cache.store_value("v", 1.0);
   cache.store_value("v", 2.0);
   EXPECT_DOUBLE_EQ(*cache.find_value("v"), 1.0);

@@ -482,11 +482,11 @@ TEST(SolverBatch, ShuffledSweepEmitsByteIdenticalCsvAtAnyWidth) {
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
       const dlm::engine::model_trace& got = result.traces[i];
       const dlm::engine::model_trace& ref = reference.traces[i];
-      ASSERT_EQ(got.predicted.size(), ref.predicted.size()) << i;
-      for (std::size_t x = 0; x < got.predicted.size(); ++x) {
-        ASSERT_EQ(got.predicted[x].size(), ref.predicted[x].size()) << i;
-        ASSERT_EQ(std::memcmp(got.predicted[x].data(), ref.predicted[x].data(),
-                              got.predicted[x].size() * sizeof(double)),
+      ASSERT_EQ(got.distances().size(), ref.distances().size()) << i;
+      for (std::size_t x = 0; x < got.distances().size(); ++x) {
+        ASSERT_EQ(got.predicted(x).size(), ref.predicted(x).size()) << i;
+        ASSERT_EQ(std::memcmp(got.predicted(x).data(), ref.predicted(x).data(),
+                              got.predicted(x).size() * sizeof(double)),
                   0)
             << "trace differs: scenario " << i << " distance row " << x;
       }
