@@ -13,20 +13,28 @@
 // reported alongside.  The merge bench prices the shard join: two shard
 // cache files of the calibration sweep merged into one cache.  The
 // journal bench prices the WAL tax of the crash-safety PR:
-// journal_ns_per_entry and wal_bytes per appended trace record.
+// journal_ns_per_entry and wal_bytes per appended trace record.  The
+// entry benches price one resident trace of the shape dl_serve keeps for
+// every cold solve: its heap cost (bytes_per_trace_entry, gated in CI)
+// and warm lookups of it from one and four threads.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include <malloc.h>
 #include <unistd.h>
 
 #include "alloc_counter.h"
 #include "core/dl_model.h"
 #include "engine/cache_io.h"
 #include "engine/cache_journal.h"
+#include "engine/format.h"
+#include "engine/model_registry.h"
 #include "engine/scenario_runner.h"
 #include "engine/solve_cache.h"
 
@@ -253,11 +261,9 @@ void BM_journal_append(benchmark::State& state) {
   // (engine/cache_journal.h), reported as journal_ns_per_entry so the
   // sweep-throughput budget can be checked against it, plus wal_bytes —
   // the on-disk growth per entry — so compaction cadence stays honest.
-  engine::model_trace trace;
-  trace.distances = {1, 2, 3, 4, 5, 6};
-  trace.times = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  trace.predicted.assign(trace.distances.size(),
-                         std::vector<double>(trace.times.size(), 0.25));
+  engine::model_trace trace({1, 2, 3, 4, 5, 6},
+                            {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+  std::ranges::fill(trace.values(), 0.25);
   trace.effective_dt = 0.01;
   const std::filesystem::path path =
       std::filesystem::temp_directory_path() /
@@ -286,6 +292,79 @@ void BM_journal_append(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_journal_append);
+
+/// The cold entries a dl_serve sweep leaves resident: a 6 × 5 line trace
+/// under the scenario_cache_key of each of 4096 "constant:" scenarios
+/// on the 6-distance bench slice (keys of ~135 bytes).
+struct cold_entries {
+  std::vector<std::string> keys;
+  engine::model_trace trace;
+};
+
+const cold_entries& make_cold_entries() {
+  static const cold_entries entries = [] {
+    const engine::scenario_context ctx = make_context();
+    const engine::dataset_slice& slice = ctx.slice(0);
+    const std::unique_ptr<engine::diffusion_model> model =
+        engine::default_registry().make("dl");
+    cold_entries out;
+    engine::scenario sc;
+    sc.points_per_unit = 10;
+    for (int i = 0; i < 4096; ++i) {
+      sc.rate = "constant:" + engine::format_full_precision(
+                                  0.3 + static_cast<double>(i) * 1e-6);
+      out.keys.push_back(engine::scenario_cache_key(sc, slice, *model));
+    }
+    out.trace = model->solve(sc, slice);
+    return out;
+  }();
+  return entries;
+}
+
+/// Heap bytes in use, small blocks and mmapped ones alike.
+std::size_t heap_in_use() {
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+}
+
+void BM_cache_store(benchmark::State& state) {
+  // Stores every cold entry into a fresh cache.  bytes_per_trace_entry
+  // is the heap the cache holds per stored trace, key included, read
+  // from mallinfo2 before and after the stores.
+  const cold_entries& entries = make_cold_entries();
+  double bytes = 0.0;
+  for (auto _ : state) {
+    engine::solve_cache cache;
+    const std::size_t before = heap_in_use();
+    for (const std::string& key : entries.keys)
+      cache.store_trace(key, entries.trace);
+    bytes = static_cast<double>(heap_in_use() - before);
+  }
+  const auto stored = static_cast<double>(entries.keys.size());
+  state.counters["bytes_per_trace_entry"] = benchmark::Counter(bytes / stored);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(entries.keys.size()));
+}
+BENCHMARK(BM_cache_store)->Unit(benchmark::kMillisecond);
+
+void BM_cache_find_hit(benchmark::State& state) {
+  // Warm trace lookups on one shared cache.  An uncapped find takes the
+  // cache's lock shared, so the four-thread row should not serialize.
+  const cold_entries& entries = make_cold_entries();
+  static engine::solve_cache cache;
+  static const bool filled = [&entries] {
+    for (const std::string& key : entries.keys)
+      cache.store_trace(key, entries.trace);
+    return true;
+  }();
+  benchmark::DoNotOptimize(filled);
+  std::size_t next = static_cast<std::size_t>(state.thread_index()) * 997;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        cache.find_trace(entries.keys[next++ % entries.keys.size()]));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_cache_find_hit)->Threads(1)->Threads(4)->UseRealTime();
 
 void BM_calibration_sweep_uncached(benchmark::State& state) {
   // Baseline without any cache, for the no-regression comparison on the

@@ -624,6 +624,55 @@ TEST(CacheJournal, WrongVersionIsRejectedWholeAndNeverModified) {
   std::filesystem::remove(path);
 }
 
+TEST(CacheJournal, ADirectoryWalIsARejectionNamingItNotAnException) {
+  const std::filesystem::path dir = journal_test_path("directory");
+  std::filesystem::create_directories(dir);
+  solve_cache cache;
+  cache.store_value("keep", 1.0);
+
+  journal_replay_result result;
+  ASSERT_NO_THROW(result = replay_journal(cache, dir));
+  EXPECT_FALSE(result.replayed);
+  EXPECT_FALSE(result.file_missing);
+  EXPECT_NE(result.error.find(dir.string()), std::string::npos) << result.error;
+  EXPECT_EQ(cache.stats().load_rejected, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // The appender refuses it with an error that names it, too.
+  try {
+    cache_journal journal(dir);
+    ADD_FAILURE() << "a directory opened as a journal";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(dir.string()), std::string::npos)
+        << e.what();
+  }
+
+  // Wired together: the snapshot loads, the WAL is a counted rejection,
+  // and journaling degrades with the reason surfaced.
+  const std::filesystem::path snapshot =
+      std::filesystem::temp_directory_path() /
+      ("dlm_wal_directory_" + std::to_string(::getpid()) + ".bin");
+  const std::filesystem::path wal = cache_journal_path(snapshot);
+  std::filesystem::remove(snapshot);
+  std::filesystem::create_directories(wal);
+  journal_options jopt;
+  jopt.enabled = true;
+  {
+    std::optional<persistent_cache> persist;
+    ASSERT_NO_THROW(persist.emplace(snapshot, 0, jopt));
+    EXPECT_NE(persist->startup_replay().error.find(wal.string()),
+              std::string::npos)
+        << persist->startup_replay().error;
+    EXPECT_EQ(persist->cache().stats().load_rejected, 1u);
+    EXPECT_EQ(persist->journal(), nullptr);
+    EXPECT_NE(persist->write_error().find(wal.string()), std::string::npos)
+        << persist->write_error();
+  }
+  std::filesystem::remove(snapshot);
+  std::filesystem::remove_all(wal);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CacheJournal, TornWriteFaultLatchesAndLeavesAReplayableWal) {
   const std::filesystem::path path = journal_test_path("torn_fault");
   std::filesystem::remove(path);
@@ -879,6 +928,130 @@ TEST(CacheIo, ADirectoryPathIsARejectionNamingItNotAnException) {
   const std::string probe = probe_cache_writable(dir);
   EXPECT_NE(probe.find(dir.string()), std::string::npos) << probe;
   std::filesystem::remove_all(dir);
+}
+
+// ------------------------------------------------- compact trace shapes
+//
+// A resident trace keeps its values in one row-major block over interned
+// axes.  The shapes that layout could get wrong — no times, no
+// distances, a non-line domain label — must keep their bytes through
+// every path that carries a trace: the snapshot and the WAL.
+
+/// Three edge shapes, each with busy mantissas and its own dt.
+std::vector<std::pair<std::string, model_trace>> edge_traces() {
+  model_trace no_times({1, 2, 3, 4, 5, 6}, {});
+  no_times.effective_dt = 0.1 + 0.2;
+  model_trace no_distances({}, {2.0, 3.0, 4.0, 5.0, 6.0});
+  no_distances.effective_dt = 1.0 / 3.0;
+  model_trace comm = sample_trace(5.0);
+  comm.domain = "comm:3|mix=0.050000000000000003";
+  return {{"trace/no_times", no_times},
+          {"trace/no_distances", no_distances},
+          {"trace/comm", comm}};
+}
+
+TEST(CacheIo, EdgeShapedTracesKeepTheirBytesThroughTheFileAndTheWal) {
+  const auto edges = edge_traces();
+  solve_cache original;
+  for (const auto& [key, trace] : edges) original.store_trace(key, trace);
+  const std::string bytes = serialize_cache(original);
+
+  solve_cache loaded;
+  const cache_load_result result = deserialize_cache(loaded, bytes);
+  ASSERT_TRUE(result.loaded) << result.error;
+  EXPECT_EQ(result.traces, edges.size());
+  for (const auto& [key, trace] : edges) {
+    const std::shared_ptr<const model_trace> hit = loaded.find_trace(key);
+    ASSERT_NE(hit, nullptr) << key;
+    EXPECT_TRUE(traces_bitwise_equal(trace, *hit)) << key;
+    EXPECT_EQ(encode_trace_entry(key, *hit), encode_trace_entry(key, trace))
+        << key;
+  }
+  EXPECT_EQ(serialize_cache(loaded), bytes);
+
+  const std::filesystem::path path = journal_test_path("edge_shapes");
+  std::filesystem::remove(path);
+  {
+    cache_journal journal(path);
+    for (const auto& [key, trace] : edges) journal.append_trace(key, trace);
+    EXPECT_TRUE(journal.write_error().empty()) << journal.write_error();
+  }
+  solve_cache replayed;
+  const journal_replay_result replay = replay_journal(replayed, path);
+  EXPECT_TRUE(replay.replayed) << replay.error;
+  EXPECT_FALSE(replay.torn_tail) << replay.error;
+  for (const auto& [key, trace] : edges) {
+    const std::shared_ptr<const model_trace> hit = replayed.find_trace(key);
+    ASSERT_NE(hit, nullptr) << key;
+    EXPECT_EQ(encode_trace_entry(key, *hit), encode_trace_entry(key, trace))
+        << key;
+  }
+  EXPECT_EQ(serialize_cache(replayed), bytes);
+  std::filesystem::remove(path);
+}
+
+TEST(CacheIo, AHandBuiltFileWithAZeroTimeTraceLoads) {
+  // Built field by field, not by the encoder: two distances, no times,
+  // so the predicted blob is empty.
+  const auto put_u32 = [](std::string& out, std::uint32_t v) {
+    for (int i = 0; i < 4; ++i)
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  };
+  const auto put_u64 = [](std::string& out, std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  };
+  std::string traces;
+  put_u64(traces, 1);
+  const std::string key = "trace/zero_times";
+  put_u32(traces, static_cast<std::uint32_t>(key.size()));
+  traces += key;
+  put_u32(traces, 4);
+  traces += "line";
+  put_u32(traces, 2);  // distances
+  put_u32(traces, 1);
+  put_u32(traces, 2);
+  put_u32(traces, 0);  // times
+  put_u64(traces, std::bit_cast<std::uint64_t>(0.02));
+  std::string values;
+  put_u64(values, 0);
+
+  std::string bytes(kCacheMagic);
+  put_u32(bytes, kCacheFormatVersion);
+  put_u32(bytes, 2);
+  for (const auto& [tag, payload] :
+       {std::pair<std::uint32_t, const std::string*>{1, &traces},
+        {2, &values}}) {
+    put_u32(bytes, tag);
+    put_u64(bytes, payload->size());
+    put_u64(bytes, cache_checksum(*payload));
+    bytes += *payload;
+  }
+
+  solve_cache cache;
+  const cache_load_result result = deserialize_cache(cache, bytes);
+  ASSERT_TRUE(result.loaded) << result.error;
+  const std::shared_ptr<const model_trace> hit = cache.find_trace(key);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(std::vector<int>(hit->distances().begin(), hit->distances().end()),
+            (std::vector<int>{1, 2}));
+  EXPECT_TRUE(hit->times().empty());
+  EXPECT_TRUE(hit->values().empty());
+  EXPECT_EQ(hit->effective_dt, 0.02);
+  EXPECT_EQ(serialize_cache(cache), bytes);
+}
+
+TEST(CacheIo, LoadedTracesWithEqualAxesShareOneAxesAllocation) {
+  solve_cache original;
+  fill_sample_cache(original);  // two traces over the same axes
+  solve_cache loaded;
+  ASSERT_TRUE(deserialize_cache(loaded, serialize_cache(original)).loaded);
+  const std::shared_ptr<const model_trace> a = loaded.find_trace("trace/a");
+  const std::shared_ptr<const model_trace> b = loaded.find_trace("trace/b");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->axes(), b->axes());
+  EXPECT_EQ(a->axes(), original.find_trace("trace/a")->axes());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -25,6 +26,8 @@
 
 #include "core/dl_model.h"
 #include "engine/cache_io.h"
+#include "engine/format.h"
+#include "engine/model_registry.h"
 #include "engine/result_table.h"
 #include "engine/scenario_runner.h"
 #include "engine/service.h"
@@ -562,6 +565,70 @@ TEST(RemoteShard, WireExecutedShardsMergeToTheLocalBytes) {
   EXPECT_NE(stats.find(" merge_conflicts="), std::string::npos) << stats;
 
   service.stop();
+}
+
+/// The compact trace layout's edge shapes cross the wire intact: a
+/// zero-time, a zero-distance and a community trace, cached under the
+/// keys of three scenarios, are served by a live dl_service, and
+/// parse_trace_reply — the parser run_shard_remote scores — recovers
+/// each one's bytes exactly.
+TEST(RemoteShard, EdgeShapedTracesKeepTheirBytesThroughASolveReply) {
+  const engine::scenario_context ctx = make_context("edges");
+  const engine::dataset_slice& slice = ctx.slice(0);
+  const std::unique_ptr<engine::diffusion_model> model =
+      engine::default_registry().make("dl");
+
+  std::vector<engine::scenario> scenarios(3);
+  for (engine::scenario& sc : scenarios) sc.model = "dl";
+  scenarios[0].rate = "constant:0.25";
+  scenarios[1].rate = "constant:0.5";
+  scenarios[2].rate = "constant:0.75";
+  scenarios[2].domain = "comm:2|mix=0.05";
+  engine::model_trace no_times({1, 2, 3, 4, 5, 6}, {});
+  no_times.effective_dt = 0.1 + 0.2;
+  engine::model_trace no_distances({}, {2.0, 3.0, 4.0, 5.0, 6.0});
+  no_distances.effective_dt = 1.0 / 3.0;
+  const std::vector<engine::model_trace> traces{
+      no_times, no_distances, model->solve(scenarios[2], slice)};
+  ASSERT_NE(traces[2].domain, "line");
+
+  std::vector<std::string> keys;
+  engine::solve_cache seeded;
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    keys.push_back(engine::scenario_cache_key(scenarios[i], slice, *model));
+    seeded.store_trace(keys.back(), traces[i]);
+  }
+  const std::filesystem::path cache_file = temp_path("edges.cache");
+  engine::save_cache(seeded, cache_file);
+
+  engine::service_options options;
+  options.socket_path = temp_path("edges.sock").string();
+  options.cache_file = cache_file.string();
+  options.threads = 1;
+  engine::dl_service service(make_context("edges"), options);
+  ASSERT_TRUE(service.startup_load().loaded) << service.startup_load().error;
+  engine::service_client client(service.socket_path());
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    const engine::scenario& sc = scenarios[i];
+    std::string request = "solve model=dl slice=edges scheme=" +
+                          core::to_string(sc.scheme) +
+                          " dt=" + engine::format_full_precision(sc.dt) +
+                          " grid=" + std::to_string(sc.points_per_unit) +
+                          " t0=" + engine::format_full_precision(sc.t0) +
+                          " t_end=" + engine::format_full_precision(sc.t_end) +
+                          " seed=" + std::to_string(sc.seed) +
+                          " rate=" + sc.rate;
+    if (sc.domain != "line") request += " domain=" + sc.domain;
+    const std::string reply = client.request(request);
+    ASSERT_TRUE(reply.starts_with("ok trace")) << reply;
+    const engine::model_trace parsed = engine::parse_trace_reply(reply);
+    EXPECT_EQ(engine::encode_trace_entry(keys[i], parsed),
+              engine::encode_trace_entry(keys[i], traces[i]))
+        << "scenario " << i;
+  }
+  EXPECT_EQ(service.stats().misses, 0u) << "a reply was solved, not cached";
+  service.stop();
+  std::filesystem::remove(cache_file);
 }
 
 }  // namespace

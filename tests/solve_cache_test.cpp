@@ -3,6 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <stop_token>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "engine/cache_io.h"
 
 #include "engine/model_registry.h"
 
@@ -209,6 +220,157 @@ TEST(ScenarioCacheKey, ParameterOverridesSplitTheKey) {
   refitted.k_override = 22.0;
   EXPECT_NE(scenario_cache_key(fitted, slice, *dl),
             scenario_cache_key(refitted, slice, *dl));
+}
+
+// ------------------------------------------------------- compact traces
+
+TEST(ModelTrace, EqualAxesShareOneAllocation) {
+  const model_trace a({1, 2, 3}, {2.0, 3.0});
+  const model_trace b({1, 2, 3}, {2.0, 3.0});
+  ASSERT_NE(a.axes(), nullptr);
+  EXPECT_EQ(a.axes(), b.axes());
+  EXPECT_EQ(a.distances().data(), b.distances().data());
+  // A copy shares the axes and owns its values.
+  const model_trace copy = a;
+  EXPECT_EQ(copy.axes(), a.axes());
+  EXPECT_NE(copy.values().data(), a.values().data());
+  // Times compare by bits: -0 and +0 are different axes.
+  EXPECT_NE(model_trace({1, 2, 3}, {2.0, 4.0}).axes(), a.axes());
+  EXPECT_NE(model_trace({0}, {0.0}).axes(), model_trace({0}, {-0.0}).axes());
+}
+
+TEST(ModelTrace, TheInternTableKeepsNoAxesAlive) {
+  std::weak_ptr<const trace_axes> axes;
+  {
+    const model_trace trace({7, 8, 9}, {1.5, 2.5});
+    axes = trace.axes();
+    EXPECT_FALSE(axes.expired());
+  }
+  EXPECT_TRUE(axes.expired());
+}
+
+TEST(ModelTrace, RowsAreViewsIntoOneRowMajorBlock) {
+  model_trace trace({1, 2}, {2.0, 3.0, 4.0});
+  ASSERT_EQ(trace.values().size(), 6u);
+  for (std::size_t i = 0; i < 2; ++i)
+    for (std::size_t j = 0; j < 3; ++j)
+      trace.predicted(i)[j] = static_cast<double>(10 * i + j);
+  EXPECT_EQ(trace.values()[4], 11.0);  // row 1, column 1
+  EXPECT_EQ(trace.predicted(1).data(), trace.values().data() + 3);
+  const model_trace empty;
+  EXPECT_TRUE(empty.distances().empty());
+  EXPECT_TRUE(empty.times().empty());
+  EXPECT_TRUE(empty.values().empty());
+}
+
+// --------------------------------------------- readers, writers, saves
+//
+// An uncapped find takes the cache's lock shared, a capped one (and
+// every insert) exclusively, and a save walks the live entries under the
+// shared lock.  Four readers, two writers and ten saves at once, once
+// per lock mode; runs under TSan (ctest -L tsan).
+
+void readers_writers_and_saves(std::size_t max_entries) {
+  constexpr std::size_t kWarm = 64;
+  constexpr std::size_t kReaders = 4;
+  constexpr std::size_t kWriters = 2;
+  constexpr std::size_t kMaxPerWriter = 4000;
+  const auto warm_key = [](const char* kind, std::size_t i) {
+    return std::string("warm/") + kind + "/" + std::to_string(i);
+  };
+  const auto new_key = [](std::size_t writer, std::size_t n) {
+    return "writer" + std::to_string(writer) + "/" + std::to_string(n);
+  };
+
+  solve_cache cache(max_entries);
+  for (std::size_t i = 0; i < kWarm; ++i) {
+    cache.store_trace(warm_key("trace", i),
+                      sample_trace(static_cast<double>(i)));
+    cache.store_value(warm_key("value", i), static_cast<double>(i));
+  }
+  ASSERT_EQ(cache.stats().hits + cache.stats().misses, 0u);
+
+  std::array<std::atomic<std::size_t>, kReaders> lookups{};
+  std::array<std::atomic<std::size_t>, kWriters> stored{};
+  std::atomic<bool> wrong_payload{false};
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t r = 0; r < kReaders; ++r)
+      threads.emplace_back([&, r](const std::stop_token& stop) {
+        std::size_t n = 0;
+        for (std::size_t i = r; !stop.stop_requested(); ++i) {
+          const std::size_t w = i % kWarm;
+          const std::shared_ptr<const model_trace> trace =
+              cache.find_trace(warm_key("trace", w));
+          const std::optional<double> value =
+              cache.find_value(warm_key("value", w));
+          const bool absent_found = cache.find_value("absent").has_value();
+          n += 3;
+          const auto expected = static_cast<double>(w);
+          if (trace == nullptr || trace->predicted(0)[0] != expected ||
+              value != expected || absent_found)
+            wrong_payload.store(true);
+        }
+        lookups[r].store(n, std::memory_order_release);
+      });
+    for (std::size_t w = 0; w < kWriters; ++w)
+      threads.emplace_back([&, w](const std::stop_token& stop) {
+        for (std::size_t n = 0; n < kMaxPerWriter && !stop.stop_requested();
+             ++n) {
+          if (n % 2 == 0) {
+            cache.store_trace(new_key(w, n),
+                              sample_trace(static_cast<double>(n)));
+          } else {
+            cache.store_value(new_key(w, n), static_cast<double>(n));
+          }
+          stored[w].store(n + 1, std::memory_order_release);
+        }
+      });
+    for (const std::atomic<std::size_t>& count : stored)
+      while (count.load(std::memory_order_acquire) == 0)
+        std::this_thread::yield();
+
+    for (int save = 0; save < 10; ++save) {
+      std::array<std::size_t, kWriters> before{};
+      for (std::size_t w = 0; w < kWriters; ++w)
+        before[w] = stored[w].load(std::memory_order_acquire);
+      const std::string bytes = serialize_cache(cache);
+
+      solve_cache loaded;
+      const cache_load_result result = deserialize_cache(loaded, bytes);
+      ASSERT_TRUE(result.loaded) << "save " << save << ": " << result.error;
+      EXPECT_GE(result.traces, kWarm) << "save " << save;
+      EXPECT_GE(result.values, kWarm) << "save " << save;
+      for (std::size_t w = 0; w < kWriters; ++w)
+        for (std::size_t n = 0; n < before[w]; ++n) {
+          const bool held = n % 2 == 0
+                                ? loaded.find_trace(new_key(w, n)) != nullptr
+                                : loaded.find_value(new_key(w, n)).has_value();
+          ASSERT_TRUE(held) << "save " << save << " lost " << new_key(w, n);
+        }
+    }
+  }  // stop and join every thread
+
+  std::size_t total = 0;
+  for (const std::atomic<std::size_t>& n : lookups)
+    total += n.load(std::memory_order_acquire);
+  EXPECT_GT(total, 0u);
+  EXPECT_FALSE(wrong_payload.load());
+  const cache_stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, total);
+  EXPECT_EQ(stats.misses, total / 3);  // one absent key per round
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(SolveCache, UncappedReadersWritersAndSavesAgree) {
+  readers_writers_and_saves(0);
+}
+
+TEST(SolveCache, CappedReadersWritersAndSavesAgree) {
+  // A cap far above what the test stores: the capped lock mode runs
+  // (exclusive finds, recency splices) without evicting any entry the
+  // snapshots are checked for.
+  readers_writers_and_saves(1u << 20);
 }
 
 }  // namespace
