@@ -59,7 +59,8 @@ class model_trace {
                  : std::span<const double>();
   }
   /// predicted(i)[j]: predicted density at distances()[i], times()[j].
-  [[nodiscard]] std::span<const double> predicted(std::size_t i) const noexcept {
+  [[nodiscard]] std::span<const double> predicted(
+      std::size_t i) const noexcept {
     const std::size_t cols = times().size();
     return {values_.data() + i * cols, cols};
   }
