@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
-#include <utility>
 
 namespace dlm::engine {
 namespace {
@@ -33,7 +32,7 @@ std::uint64_t hash_axes(std::span<const int> distances,
   return hash;
 }
 
-/// The process-wide intern table behind intern_axes.  It holds weak
+/// The process-wide intern table of trace axes.  It holds weak
 /// references only; when an insert finds the table at its sweep
 /// threshold, it first drops the expired ones and doubles the threshold
 /// past what is still live, so the table stays O(live axes) however
@@ -70,21 +69,17 @@ class axes_table {
   std::size_t sweep_at_ = kMinSweep;
 };
 
-}  // namespace
-
 std::shared_ptr<const trace_axes> intern_axes(std::span<const int> distances,
                                               std::span<const double> times) {
   static axes_table table;
   return table.intern(distances, times);
 }
 
+}  // namespace
+
 model_trace::model_trace(const std::vector<int>& distances,
                          const std::vector<double>& times)
-    : model_trace(intern_axes(distances, times)) {}
-
-model_trace::model_trace(std::shared_ptr<const trace_axes> axes)
-    : axes_(std::move(axes)),
-      values_(axes_ ? axes_->distances.size() * axes_->times.size() : 0,
-              0.0) {}
+    : axes_(intern_axes(distances, times)),
+      values_(distances.size() * times.size(), 0.0) {}
 
 }  // namespace dlm::engine

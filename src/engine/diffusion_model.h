@@ -18,37 +18,28 @@
 
 namespace dlm::engine {
 
-/// The axes of a predicted surface.  Immutable once built, and shared:
-/// every trace of one slice and evaluation window points at one
-/// instance (see intern_axes).
+/// The axes of a predicted surface, immutable and shared between traces.
 struct trace_axes {
   std::vector<int> distances;  ///< 1..max_distance of the slice
   std::vector<double> times;   ///< evaluated hours (t0+1 .. t_end)
 };
 
-/// Returns the live axes equal to (distances, times), or builds them.
-/// Times compare by bits.  The intern table holds weak references, so it
-/// never keeps axes alive by itself, and it drops expired entries as it
-/// grows: its size stays proportional to the axes some trace still uses.
-/// Thread-safe.
-[[nodiscard]] std::shared_ptr<const trace_axes> intern_axes(
-    std::span<const int> distances, std::span<const double> times);
-
 /// A model's predicted density surface over integer distances × hours.
 ///
 /// The values live in one row-major allocation, and the axes are
-/// interned (intern_axes), so a resident trace costs one block for its
-/// values plus a share of its axes.  Copying a trace copies the values
+/// interned by content (times by their bits), so every trace of one
+/// slice and evaluation window shares one trace_axes: a resident trace
+/// costs one block for its values plus a share of its axes.  The intern
+/// table holds weak references and drops expired ones as it grows, so it
+/// never keeps axes alive by itself.  Copying a trace copies the values
 /// and shares the axes.
 class model_trace {
  public:
   /// An empty trace: no distances, no times.
   model_trace() = default;
-  /// A zero-filled surface over interned axes.
+  /// A zero-filled surface over the interned axes (thread-safe).
   model_trace(const std::vector<int>& distances,
               const std::vector<double>& times);
-  /// A zero-filled surface over axes already interned.
-  explicit model_trace(std::shared_ptr<const trace_axes> axes);
 
   [[nodiscard]] std::span<const int> distances() const noexcept {
     return axes_ ? std::span<const int>(axes_->distances)

@@ -233,8 +233,8 @@ class solve_cache {
   /// Every counter but hits and misses; changed under the exclusive lock.
   cache_stats stats_;
   /// Finds count here, relaxed, so a shared-lock hit writes no shared
-  /// state beyond these two words.  Kept off the lock's cache line.
-  alignas(64) std::atomic<std::size_t> hits_{0};
+  /// state beyond the lock and this counter.
+  std::atomic<std::size_t> hits_{0};
   std::atomic<std::size_t> misses_{0};
   /// Swapped atomically under the lock, invoked outside it: an insert
   /// snapshots the shared_ptr while locked and calls through it after
