@@ -21,6 +21,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -33,7 +34,6 @@
 #include "core/dl_model.h"
 #include "engine/cache_io.h"
 #include "engine/cache_journal.h"
-#include "engine/format.h"
 #include "engine/model_registry.h"
 #include "engine/scenario_runner.h"
 #include "engine/solve_cache.h"
@@ -295,7 +295,8 @@ BENCHMARK(BM_journal_append);
 
 /// The cold entries a dl_serve sweep leaves resident: a 6 × 5 line trace
 /// under the scenario_cache_key of each of 4096 "constant:" scenarios
-/// on the 6-distance bench slice (keys of ~135 bytes).
+/// on the 6-distance bench slice.  The rates are eight-digit decimals,
+/// so every key is 134 bytes, the length of serve_mixed's cold keys.
 struct cold_entries {
   std::vector<std::string> keys;
   engine::model_trace trace;
@@ -309,10 +310,12 @@ const cold_entries& make_cold_entries() {
         engine::default_registry().make("dl");
     cold_entries out;
     engine::scenario sc;
+    sc.model = "dl";
     sc.points_per_unit = 10;
     for (int i = 0; i < 4096; ++i) {
-      sc.rate = "constant:" + engine::format_full_precision(
-                                  0.3 + static_cast<double>(i) * 1e-6);
+      char rate[32];
+      std::snprintf(rate, sizeof rate, "constant:0.3%07d", i);
+      sc.rate = rate;
       out.keys.push_back(engine::scenario_cache_key(sc, slice, *model));
     }
     out.trace = model->solve(sc, slice);
